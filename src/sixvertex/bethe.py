@@ -26,6 +26,7 @@ from .errors import (
     SolverFailureError,
 )
 from .tensor_core import vacuum_state
+from .textio import parse_complex_list, write_text_atomic
 from .vertex_model import (
     LatticeSpec,
     Regime,
@@ -342,8 +343,8 @@ def roots_from_text(text: str) -> BetheRoots:
         eta = complex(fields["eta"])
         length = int(fields["L"])
         magnons = int(fields["M"])
-        xi = _parse_complex_list(fields["xi"])
-        q = _parse_complex_list(fields["q"])
+        xi = parse_complex_list(fields["xi"])
+        q = parse_complex_list(fields["q"])
         residual = float(fields["residual"])
     except KeyError as exc:
         raise ProvenanceError(f"roots document missing field {exc}") from exc
@@ -352,18 +353,8 @@ def roots_from_text(text: str) -> BetheRoots:
     return BetheRoots(q, residual, family, eta, xi)
 
 
-def _parse_complex_list(value: str) -> tuple[complex, ...]:
-    value = value.strip()
-    if not value:
-        return ()
-    return tuple(complex(part.strip()) for part in value.split(","))
-
-
 def write_roots(roots: BetheRoots, path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(roots_to_text(roots))
-    tmp.replace(path)
+    write_text_atomic(path, roots_to_text(roots))
 
 
 def read_roots(path) -> BetheRoots:

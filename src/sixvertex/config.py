@@ -8,19 +8,21 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .vertex_model import FAMILIES, LatticeSpec, Regime, random_lattice
+from .textio import parse_complex_list
+from .vertex_model import FAMILIES, PERMUTATION_CAP, LatticeSpec, Regime, random_lattice
 
-_KNOWN_KEYS = {
-    "regime",
-    "eta",
-    "L",
-    "M",
-    "xi",
-    "xi_spread",
-    "seed",
-    "tolerance",
-    "perm_cap",
-    "output_dir",
+# File key -> (RunConfig field, value parser); "xi: random" means sampled.
+_KEYS = {
+    "regime": ("family", str),
+    "eta": ("eta", complex),
+    "L": ("length", int),
+    "M": ("magnons", int),
+    "xi": ("xi", lambda v: None if v == "random" else parse_complex_list(v)),
+    "xi_spread": ("xi_spread", float),
+    "seed": ("seed", int),
+    "tolerance": ("tolerance", float),
+    "perm_cap": ("perm_cap", int),
+    "output_dir": ("output_dir", Path),
 }
 
 
@@ -36,7 +38,7 @@ class RunConfig:
     xi_spread: float | None = None  # None: per-family default
     seed: int = 7
     tolerance: float | None = None  # None: per-check defaults
-    perm_cap: int = 9
+    perm_cap: int = PERMUTATION_CAP
     output_dir: Path = Path("out")
 
     def __post_init__(self):
@@ -84,7 +86,7 @@ class RunConfig:
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse the flat key: value format; '#' starts a comment."""
-    fields: dict[str, str] = {}
+    kwargs: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,34 +95,13 @@ def parse_config_text(text: str) -> RunConfig:
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key: value', got {raw!r}")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        fields[key] = value.strip()
-
-    kwargs: dict = {}
-    try:
-        if "regime" in fields:
-            kwargs["family"] = fields["regime"]
-        if "eta" in fields:
-            kwargs["eta"] = complex(fields["eta"])
-        if "L" in fields:
-            kwargs["length"] = int(fields["L"])
-        if "M" in fields:
-            kwargs["magnons"] = int(fields["M"])
-        if "xi" in fields and fields["xi"] != "random":
-            kwargs["xi"] = tuple(complex(p.strip()) for p in fields["xi"].split(","))
-        if "xi_spread" in fields:
-            kwargs["xi_spread"] = float(fields["xi_spread"])
-        if "seed" in fields:
-            kwargs["seed"] = int(fields["seed"])
-        if "tolerance" in fields:
-            kwargs["tolerance"] = float(fields["tolerance"])
-        if "perm_cap" in fields:
-            kwargs["perm_cap"] = int(fields["perm_cap"])
-        if "output_dir" in fields:
-            kwargs["output_dir"] = Path(fields["output_dir"])
-    except ValueError as exc:
-        raise ConfigError(f"bad value in config: {exc}") from exc
+        name, parse = _KEYS[key]
+        try:
+            kwargs[name] = parse(value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return RunConfig(**kwargs)
 
 

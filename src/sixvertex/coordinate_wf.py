@@ -11,16 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from pathlib import Path
 
 import numpy as np
 
-from .bethe import bethe_vector
+from .bethe import bae_residuals, bethe_vector
 from .errors import SizeCapError
 from .tensor_core import index_of_sites
-from .vertex_model import LatticeSpec, Regime, b_weight, c_weight, c_weight_inv
-
-PERMUTATION_CAP = 9
+from .textio import write_text_atomic
+from .vertex_model import (
+    PERMUTATION_CAP,
+    LatticeSpec,
+    Regime,
+    b_weight,
+    c_weight,
+    c_weight_inv,
+)
 
 
 def validate_configuration(x, n_sites: int, ordered: bool = True) -> tuple[int, ...]:
@@ -82,12 +87,7 @@ def perm_amplitude(perm, q, regime: Regime) -> complex:
 
 
 def psi_formula(
-    x,
-    q,
-    lattice: LatticeSpec,
-    regime: Regime,
-    alt: bool = False,
-    cap: int = PERMUTATION_CAP,
+    x, q, lattice: LatticeSpec, regime: Regime, cap: int = PERMUTATION_CAP
 ) -> complex:
     """Wave-function amplitude as the sum over permutations of the roots."""
     x = validate_configuration(x, lattice.length)
@@ -97,9 +97,8 @@ def psi_formula(
     m = len(q)
     if m > cap:
         raise SizeCapError(f"permutation sum over {m}! terms exceeds cap {cap}!")
-    factor = phi_site_alt if alt else phi_site
     # cache the M x M table of single-particle factors
-    table = [[factor(xv, qv, lattice, regime) for qv in q] for xv in x]
+    table = [[phi_site(xv, qv, lattice, regime) for qv in q] for xv in x]
     total = 0.0 + 0.0j
     for perm in permutations(range(m)):
         term = perm_amplitude(perm, q, regime)
@@ -208,8 +207,6 @@ def periodicity_check(q, lattice: LatticeSpec, regime: Regime) -> PeriodicityChe
     must equal prod_l 1/c(xi_l - q_{P1}).  The condition is equivalent to
     the Bethe equations, so both residuals are returned together.
     """
-    from .bethe import bae_residuals
-
     q = tuple(complex(v) for v in q)
     m = len(q)
     worst = 0.0
@@ -242,7 +239,4 @@ def export_wave_tables(tables, path, header_comments=()) -> None:
             v = table.entries[x]
             row = [str(s) for s in x] + [repr(v.real), repr(v.imag), table.provenance]
             lines.append(" ".join(row))
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)
+    write_text_atomic(path, "\n".join(lines) + "\n")

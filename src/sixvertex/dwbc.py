@@ -14,9 +14,15 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DegenerateParametersError, SizeCapError
-from .vertex_model import SPECTRAL_GUARD, Regime, b_weight, c_weight, sampling_profile
+from .vertex_model import (
+    PERMUTATION_CAP,
+    SPECTRAL_GUARD,
+    Regime,
+    b_weight,
+    c_weight,
+    sampling_profile,
+)
 
-PERMUTATION_CAP = 9
 DISTINCTNESS_FLOOR = 1e-10
 
 

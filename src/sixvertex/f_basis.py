@@ -20,6 +20,7 @@ from .tensor_core import (
     identity_operator,
     index_of_sites,
     max_abs_diff,
+    site_occupations,
     site_operator,
     vacuum_state,
 )
@@ -73,7 +74,7 @@ def _factorizer_for_order(order, lattice, regime):
     for pos, site in enumerate(order):
         number = site_operator("number", site, L)
         tail = _tail_product_for_order(order, pos, lattice, regime)
-        factor = (identity_operator(L) - number) + tail @ number
+        factor = (identity_operator(L) - number) + tail * number.diagonal()
         out = out @ factor
     return out
 
@@ -114,20 +115,31 @@ def factorization_residual(lattice: LatticeSpec, regime: Regime, site: int) -> f
     return max_abs_diff(f, s_embedded @ f_swapped)
 
 
-def _occupation_bits(dim, n_sites):
-    cols = np.arange(dim)
-    return [(cols >> (n_sites - s)) & 1 for s in range(1, n_sites + 1)]
-
-
 def diagonal_a(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
     """Closed-form diagonal image of A(t): prod_i [c(xi_i - t)(1 - n_i) + n_i]."""
     L = lattice.length
-    dim = 1 << L
-    bits = _occupation_bits(dim, L)
-    diag = np.ones(dim, dtype=complex)
+    bits = site_occupations(L)
+    diag = np.ones(1 << L, dtype=complex)
     for i in range(L):
         diag *= np.where(bits[i] == 1, 1.0, c_weight(lattice.xi[i] - t, regime))
     return np.diag(diag)
+
+
+def _flip_term(kind, site, t, lattice, regime, factors):
+    """Flip ``kind`` at ``site`` weighted by b(xi_site - t) and, on every
+    other site k (0-based), by ``factors(k)`` = (occupied, empty) weight.
+
+    The flip is a 0/1 operator, so scaling its columns by broadcasting gives
+    exactly its product with the diagonal weight operator.
+    """
+    L = lattice.length
+    bits = site_occupations(L)
+    diag = np.full(1 << L, b_weight(lattice.xi[site - 1] - t, regime), dtype=complex)
+    for k in range(L):
+        if k != site - 1:
+            occupied, empty = factors(k)
+            diag *= np.where(bits[k] == 1, occupied, empty)
+    return site_operator(kind, site, L) * diag
 
 
 def site_creation(
@@ -143,17 +155,12 @@ def site_creation(
     if not 1 <= site <= L:
         raise ValueError(f"site {site} out of range 1..{L}")
     lattice.require_generic(regime)
-    dim = 1 << L
-    bits = _occupation_bits(dim, L)
-    diag = np.full(dim, b_weight(lattice.xi[site - 1] - t, regime), dtype=complex)
-    for k in range(L):
-        if k == site - 1:
-            continue
-        empty_factor = c_weight(lattice.xi[k] - t, regime) * c_weight_inv(
-            lattice.xi[k] - lattice.xi[site - 1], regime
-        )
-        diag *= np.where(bits[k] == 1, 1.0, empty_factor)
-    return site_operator("raise", site, L) @ np.diag(diag)
+    xi = lattice.xi
+
+    def factors(k):
+        return 1.0, c_weight(xi[k] - t, regime) * c_weight_inv(xi[k] - xi[site - 1], regime)
+
+    return _flip_term("raise", site, t, lattice, regime, factors)
 
 
 def quasilocal_b(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
@@ -172,21 +179,14 @@ def quasilocal_c(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray
     """
     L = lattice.length
     lattice.require_generic(regime)
-    dim = 1 << L
-    bits = _occupation_bits(dim, L)
-    out = np.zeros((dim, dim), dtype=complex)
+    xi = lattice.xi
+    out = np.zeros((1 << L, 1 << L), dtype=complex)
     for site in range(1, L + 1):
-        diag = np.full(dim, b_weight(lattice.xi[site - 1] - t, regime), dtype=complex)
-        for k in range(L):
-            if k == site - 1:
-                continue
-            occupied_factor = c_weight_inv(
-                lattice.xi[site - 1] - lattice.xi[k], regime
-            )
-            diag *= np.where(
-                bits[k] == 1, occupied_factor, c_weight(lattice.xi[k] - t, regime)
-            )
-        out += site_operator("lower", site, L) @ np.diag(diag)
+
+        def factors(k):
+            return c_weight_inv(xi[site - 1] - xi[k], regime), c_weight(xi[k] - t, regime)
+
+        out += _flip_term("lower", site, t, lattice, regime, factors)
     return out
 
 

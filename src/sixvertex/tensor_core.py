@@ -49,6 +49,12 @@ def occupation_count(index: int) -> int:
     return bin(index).count("1")
 
 
+def site_occupations(n_sites: int) -> list[np.ndarray]:
+    """Per site (site 1 first), its occupation bit across every basis index."""
+    indices = np.arange(1 << n_sites)
+    return [(indices >> _bit_position(s, n_sites)) & 1 for s in range(1, n_sites + 1)]
+
+
 def index_of_sites(sites, n_sites: int) -> int:
     """Basis index of the configuration occupying exactly ``sites``."""
     index = 0
@@ -126,7 +132,3 @@ def embed_two_site(gate, site_i: int, site_j: int, n_sites: int) -> np.ndarray:
 def max_abs_diff(a, b) -> float:
     """Uniform operator metric used throughout the suite."""
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-
-def operators_equal(a, b, tol: float) -> bool:
-    return max_abs_diff(a, b) < tol

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from . import tensor_core as tc
 from . import vertex_model as vm
 from .config import RunConfig, config_as_dict
 from .errors import ProvenanceError
+from .textio import write_text_atomic
 
 REPORT_SCHEMA = "sixvertex-report-v1"
 
@@ -47,18 +48,7 @@ class CheckReport:
         doc = {
             "schema": REPORT_SCHEMA,
             "config": self.config,
-            "checks": [
-                {
-                    "name": r.name,
-                    "params": r.params,
-                    "residual": r.residual,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                    "wall_time_s": r.wall_time_s,
-                    "note": r.note,
-                }
-                for r in self.results
-            ],
+            "checks": [asdict(r) for r in self.results],
             "passed": self.passed,
         }
         return json.dumps(doc, indent=indent) + "\n"
@@ -223,15 +213,16 @@ def _check_eigenvector(ctx):
     return worst, {"spectral_samples": 3, "M": roots.magnons}
 
 
+def _wave_tables(roots, lattice, regime, config):
+    """Formula and oracle wave tables of the roots, and their measured ratio."""
+    formula = coordinate_wf.wave_table(roots.q, lattice, regime, "formula", cap=config.perm_cap)
+    oracle = coordinate_wf.wave_table(roots.q, lattice, regime, "oracle")
+    return formula, oracle, coordinate_wf.ratio_statistic(formula, oracle)
+
+
 def _check_wavefunction_ratio(ctx):
     regime, lattice, config = ctx["regime"], ctx["lattice"], ctx["config"]
-    roots = _require_roots(ctx)
-    formula = coordinate_wf.wave_table(
-        roots.q, lattice, regime, "formula", cap=config.perm_cap
-    )
-    oracle = coordinate_wf.wave_table(roots.q, lattice, regime, "oracle")
-    stat = coordinate_wf.ratio_statistic(formula, oracle)
-    ctx["ratio"] = stat
+    _, _, stat = _wave_tables(_require_roots(ctx), lattice, regime, config)
     return stat.spread, {
         "configurations": stat.n_total,
         "used": stat.n_used,
@@ -299,11 +290,16 @@ CHECKS = (
 )
 
 
-def run_verify(config: RunConfig) -> CheckReport:
-    """Run every registered check once; individual failures do not abort."""
+def _resolve(config: RunConfig):
+    """Regime, seeded generator and lattice of a run, drawn in that order."""
     regime = config.regime()
     rng = np.random.default_rng(config.seed)
-    lattice = config.resolve_lattice(rng)
+    return regime, rng, config.resolve_lattice(rng)
+
+
+def run_verify(config: RunConfig) -> CheckReport:
+    """Run every registered check once; individual failures do not abort."""
+    regime, rng, lattice = _resolve(config)
     ctx = {"config": config, "regime": regime, "lattice": lattice, "rng": rng}
     report = CheckReport(config=config_as_dict(config, lattice))
     for name, runner, default_tol in CHECKS:
@@ -338,18 +334,14 @@ def write_report(report: CheckReport, output_dir) -> tuple[Path, Path]:
     output_dir.mkdir(parents=True, exist_ok=True)
     json_path = output_dir / "report.json"
     txt_path = output_dir / "report.txt"
-    for path, text in ((json_path, report.to_json()), (txt_path, report.table())):
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        tmp.replace(path)
+    write_text_atomic(json_path, report.to_json())
+    write_text_atomic(txt_path, report.table())
     return json_path, txt_path
 
 
 def run_solve(config: RunConfig, out_path) -> bethe.BetheRoots:
     """Solve the configured root count and write the roots document."""
-    regime = config.regime()
-    rng = np.random.default_rng(config.seed)
-    lattice = config.resolve_lattice(rng)
+    regime, _, lattice = _resolve(config)
     roots = bethe.solve_bethe_roots(config.magnons, lattice, regime, seed=config.seed)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -367,16 +359,12 @@ def run_wavefunction(config: RunConfig, roots_path, out_path) -> coordinate_wf.R
     if not roots_path.exists():
         raise FileNotFoundError(f"roots document not found: {roots_path}")
     roots = bethe.read_roots(roots_path)
-    regime = config.regime()
-    rng = np.random.default_rng(config.seed)
-    lattice = config.resolve_lattice(rng)
+    regime, _, lattice = _resolve(config)
     if not roots.matches(lattice, regime):
         raise ProvenanceError(
             "roots document was solved for a different lattice/regime than the config resolves"
         )
-    formula = coordinate_wf.wave_table(roots.q, lattice, regime, "formula", cap=config.perm_cap)
-    oracle = coordinate_wf.wave_table(roots.q, lattice, regime, "oracle")
-    stat = coordinate_wf.ratio_statistic(formula, oracle)
+    formula, oracle, stat = _wave_tables(roots, lattice, regime, config)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     coordinate_wf.export_wave_tables(

@@ -19,10 +19,19 @@ from .errors import (
     PoleError,
     SingularWeightError,
 )
-from .tensor_core import embed_two_site, identity_operator, max_abs_diff, vacuum_state
+from .tensor_core import (
+    embed_two_site,
+    identity_operator,
+    max_abs_diff,
+    occupation_count,
+    vacuum_state,
+)
 
 POLE_TOL = 1e-12
 GENERICITY_FLOOR = 1e-6
+# Largest M whose M!-term permutation sums (wave function, partition
+# function) run unless a caller raises the cap.
+PERMUTATION_CAP = 9
 
 FAMILIES = ("rational", "trigonometric")
 
@@ -81,31 +90,27 @@ class LatticeSpec:
         if len(self.xi) != self.length:
             raise ValueError(f"expected {self.length} inhomogeneities, got {len(self.xi)}")
 
+    def _coincidence(self, regime: Regime, floor: float) -> str | None:
+        # First pairwise weight denominator within ``floor`` of a pole, if any.
+        for i in range(self.length):
+            for j in range(self.length):
+                if i == j:
+                    continue
+                d = self.xi[i] - self.xi[j]
+                for value, shift in ((d, ""), (d + regime.eta, " + eta")):
+                    if abs(regime.phi(value)) < floor:
+                        return f"phi(xi_{i + 1} - xi_{j + 1}{shift}) ~ 0 (sites {i + 1},{j + 1})"
+        return None
+
     def is_generic(self, regime: Regime, floor: float = GENERICITY_FLOOR) -> bool:
         """True if all pairwise weight denominators stay away from poles."""
-        for i in range(self.length):
-            for j in range(self.length):
-                if i == j:
-                    continue
-                d = self.xi[i] - self.xi[j]
-                if abs(regime.phi(d)) < floor or abs(regime.phi(d + regime.eta)) < floor:
-                    return False
-        return True
+        return self._coincidence(regime, floor) is None
 
     def require_generic(self, regime: Regime, floor: float = GENERICITY_FLOOR) -> None:
-        for i in range(self.length):
-            for j in range(self.length):
-                if i == j:
-                    continue
-                d = self.xi[i] - self.xi[j]
-                if abs(regime.phi(d)) < floor:
-                    raise DegenerateParametersError(
-                        f"phi(xi_{i + 1} - xi_{j + 1}) ~ 0 (sites {i + 1},{j + 1})"
-                    )
-                if abs(regime.phi(d + regime.eta)) < floor:
-                    raise DegenerateParametersError(
-                        f"phi(xi_{i + 1} - xi_{j + 1} + eta) ~ 0 (sites {i + 1},{j + 1})"
-                    )
+        """Raise ``DegenerateParametersError`` naming the first near-pole pair."""
+        problem = self._coincidence(regime, floor)
+        if problem is not None:
+            raise DegenerateParametersError(problem)
 
 
 @dataclass(frozen=True)
@@ -236,7 +241,7 @@ def monodromy_entries(
         bad = [
             i
             for i in range(bvac.size)
-            if abs(bvac[i]) > 1e-12 and bin(i).count("1") != 1
+            if abs(bvac[i]) > 1e-12 and occupation_count(i) != 1
         ]
         if bad:
             raise ConventionError("B(t)|0> leaks outside the one-particle sector")

@@ -1,9 +1,10 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from sixvertex import bethe
+from sixvertex import bethe, config
 from sixvertex.cli import main
 from sixvertex.config import RunConfig, load_config, parse_config_text
 from sixvertex.errors import ConfigError
@@ -60,6 +61,54 @@ def test_parse_rejects_xi_length_mismatch():
 def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigError):
         parse_config_text("frobnicate: 3\n")
+
+
+# One line per known key, with the RunConfig field and value it must set.
+KEY_CASES = [
+    ("regime: trigonometric", "family", "trigonometric"),
+    ("eta: 0.7-0.1j", "eta", 0.7 - 0.1j),
+    ("L: 3", "length", 3),
+    ("M: 1", "magnons", 1),
+    ("xi: random", "xi", None),
+    ("xi: 0.5, (0.1-0.2j), -1, 2, 0j, 3", "xi", (0.5, 0.1 - 0.2j, -1, 2, 0, 3)),
+    ("xi_spread: 0.25", "xi_spread", 0.25),
+    ("seed: 11", "seed", 11),
+    ("tolerance: 1e-9", "tolerance", 1e-9),
+    ("perm_cap: 5", "perm_cap", 5),
+    ("output_dir: runs/a", "output_dir", Path("runs/a")),
+]
+
+
+@pytest.mark.parametrize("line, field, value", KEY_CASES)
+def test_parse_sets_each_key(line, field, value):
+    cfg = parse_config_text(line + "  # trailing comment\n")
+    assert cfg == RunConfig(**{field: value})
+    assert type(getattr(cfg, field)) is type(value)
+
+
+def test_parse_key_cases_cover_every_key():
+    assert {line.split(":")[0] for line, _, _ in KEY_CASES} == set(config._KEYS)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "regime: cubic",
+        "eta: one",
+        "eta: 0",
+        "L: 3.5",
+        "M: two",
+        "xi: 0.1, zz, 0, 0, 0, 0",
+        "xi_spread: wide",
+        "seed: 7.5",
+        "tolerance: small",
+        "perm_cap: nine",
+        "perm_cap: 0",
+    ],
+)
+def test_parse_rejects_bad_value(line):
+    with pytest.raises(ConfigError):
+        parse_config_text(line + "\n").regime()
 
 
 def test_parse_rejects_bad_tolerance():

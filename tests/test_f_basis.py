@@ -176,3 +176,46 @@ def test_condition_guard_rejects(monkeypatch, regime):
     monkeypatch.setattr(fb, "CONDITION_LIMIT", 1.0)
     with pytest.raises(DegenerateParametersError, match="ill conditioned"):
         fb.factorizing_operator(lattice, regime)
+
+
+def _dense_flip(kind, site, t, lattice, regime, occupied, empty):
+    # flip operator times the diagonal weight operator, as a dense product
+    L = lattice.length
+    bits = tc.site_occupations(L)
+    diag = np.full(1 << L, vm.b_weight(lattice.xi[site - 1] - t, regime), dtype=complex)
+    for k in range(L):
+        if k != site - 1:
+            diag *= np.where(bits[k] == 1, occupied(k), empty(k))
+    return tc.site_operator(kind, site, L) @ np.diag(diag)
+
+
+@pytest.mark.parametrize("L", [4, 5])
+def test_broadcast_flips_and_factorizer_equal_dense_products(L, regime):
+    # Scaling 0/1 operators by broadcasting adds only exact zeros, so the
+    # closed forms and the factorizer must equal the dense matmul routes
+    # exactly, not within a tolerance.
+    lattice = make_lattice(L, regime, seed=130 + L)
+    xi = lattice.xi
+    t = vm.random_spectral_point(lattice, regime, np.random.default_rng(140 + L))
+    c, c_inv = vm.c_weight, vm.c_weight_inv
+    lower_sum = np.zeros((1 << L, 1 << L), dtype=complex)
+    for s in range(1, L + 1):
+        raise_s = _dense_flip(
+            "raise", s, t, lattice, regime,
+            lambda k: 1.0,
+            lambda k: c(xi[k] - t, regime) * c_inv(xi[k] - xi[s - 1], regime),
+        )
+        assert np.array_equal(fb.site_creation(s, t, lattice, regime), raise_s)
+        lower_sum += _dense_flip(
+            "lower", s, t, lattice, regime,
+            lambda k: c_inv(xi[s - 1] - xi[k], regime),
+            lambda k: c(xi[k] - t, regime),
+        )
+    assert np.array_equal(fb.quasilocal_c(t, lattice, regime), lower_sum)
+
+    dense_f = tc.identity_operator(L)
+    for s in range(1, L + 1):
+        number = tc.site_operator("number", s, L)
+        tail = fb.s_tail_product(s, lattice, regime)
+        dense_f = dense_f @ ((tc.identity_operator(L) - number) + tail @ number)
+    assert np.array_equal(fb.factorizing_operator(lattice, regime).f, dense_f)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sixvertex import tensor_core as tc
 from sixvertex import vertex_model as vm
-from sixvertex.errors import PoleError, SingularWeightError
+from sixvertex.errors import DegenerateParametersError, PoleError, SingularWeightError
 
 from conftest import RATIONAL, TRIG, make_lattice
 
@@ -256,7 +256,16 @@ def test_lattice_validation():
         vm.LatticeSpec(2, (0.1,))
     with pytest.raises(ValueError):
         vm.LatticeSpec(0, ())
-    lattice = vm.LatticeSpec(2, (0.0, 0.0))
-    assert not lattice.is_generic(RATIONAL)
-    with pytest.raises(Exception):
-        lattice.require_generic(RATIONAL)
+    # equal parameters hit the zero of phi(xi_1 - xi_2); xi_2 = xi_1 + eta
+    # hits the eta-shifted one, phi(xi_1 - xi_2 + eta)
+    for xi, message in (
+        ((0.0, 0.0), r"phi\(xi_1 - xi_2\) ~ 0"),
+        ((0.2, 1.2), r"phi\(xi_1 - xi_2 \+ eta\) ~ 0"),
+    ):
+        lattice = vm.LatticeSpec(2, xi)
+        assert not lattice.is_generic(RATIONAL)
+        with pytest.raises(DegenerateParametersError, match=message):
+            lattice.require_generic(RATIONAL)
+    generic = vm.LatticeSpec(2, (0.2, 0.9))
+    assert generic.is_generic(RATIONAL)
+    generic.require_generic(RATIONAL)
