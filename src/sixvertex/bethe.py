@@ -43,6 +43,8 @@ ROOT_SEPARATION = 1e-8
 SOLVE_TOL = 1e-12
 MAX_NEWTON_ITER = 200
 HOMOTOPY_LEGS = 20
+# How far a stored root set's eta and xi may sit from a lattice's and match.
+PROVENANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,21 +70,22 @@ class BetheRoots:
     def magnons(self) -> int:
         return len(self.q)
 
-    def matches(self, lattice: LatticeSpec, regime: Regime, tol: float = 1e-9) -> bool:
+    def matches(self, lattice: LatticeSpec, regime: Regime) -> bool:
         return (
             self.family == regime.family
-            and abs(self.eta - regime.eta) < tol
+            and abs(self.eta - regime.eta) < PROVENANCE_TOL
             and self.length == lattice.length
-            and all(abs(a - b) < tol for a, b in zip(self.xi, lattice.xi))
+            and all(abs(a - b) < PROVENANCE_TOL for a, b in zip(self.xi, lattice.xi))
         )
 
 
-def _require_separated(q, regime: Regime, floor: float = ROOT_SEPARATION):
+def _require_separated(q, regime: Regime):
     for i in range(len(q)):
         for j in range(i + 1, len(q)):
-            if abs(regime.phi(q[i] - q[j])) < floor:
+            if abs(regime.phi(q[i] - q[j])) < ROOT_SEPARATION:
                 raise DegenerateRootsError(
-                    f"roots {i + 1} and {j + 1} closer than {floor}: {q[i]} ~ {q[j]}"
+                    f"roots {i + 1} and {j + 1} closer than {ROOT_SEPARATION}: "
+                    f"{q[i]} ~ {q[j]}"
                 )
 
 
@@ -134,9 +137,9 @@ def _log_ratio_jacobian(q, lattice, regime):
 _ATTEMPT_ERRORS = (DegenerateRootsError, SingularWeightError, ValueError, np.linalg.LinAlgError)
 
 
-def _newton(q0, lattice, regime, tol, max_iter):
+def _newton(q0, lattice, regime, tol):
     q = np.asarray(q0, dtype=complex).copy()
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         try:
             res = float(np.max(bae_residuals(q, lattice, regime)))
         except _ATTEMPT_ERRORS:
@@ -183,8 +186,6 @@ def solve_bethe_roots(
     regime: Regime,
     seed: int = 0,
     tol: float = SOLVE_TOL,
-    legs: int = HOMOTOPY_LEGS,
-    max_iter: int = MAX_NEWTON_ITER,
 ) -> BetheRoots:
     """Solve for a set of Bethe roots on the given lattice.
 
@@ -223,7 +224,7 @@ def solve_bethe_roots(
                 ]
             except ZeroDivisionError:
                 continue
-            q, res, ok = _newton(q0, lattice=homogeneous, regime=regime, tol=tol, max_iter=max_iter)
+            q, res, ok = _newton(q0, lattice=homogeneous, regime=regime, tol=tol)
             if ok:
                 try:
                     _require_separated(q, regime)
@@ -244,14 +245,14 @@ def solve_bethe_roots(
     # homotopy in the inhomogeneities, adaptive step size
     q = q_start
     s = 0.0
-    h = 1.0 / legs
-    min_h = 1.0 / (legs * 512)
+    h = 1.0 / HOMOTOPY_LEGS
+    min_h = 1.0 / (HOMOTOPY_LEGS * 512)
     target = np.asarray(lattice.xi, dtype=complex)
     while s < 1.0 - 1e-15:
         h = min(h, 1.0 - s)
         xi_next = tuple(center + (s + h) * (x - center) for x in target)
         leg_lattice = LatticeSpec(L, xi_next)
-        q_next, res, ok = _newton(q, lattice=leg_lattice, regime=regime, tol=tol, max_iter=max_iter)
+        q_next, res, ok = _newton(q, lattice=leg_lattice, regime=regime, tol=tol)
         if ok:
             try:
                 _require_separated(q_next, regime)
@@ -282,7 +283,7 @@ def bethe_vector(q, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
     """State built by applying the creation blocks at q_1 .. q_M to the vacuum."""
     vec = vacuum_state(lattice.length)
     for qi in reversed(tuple(q)):
-        vec = monodromy_entries(qi, lattice, regime, check=False).b @ vec
+        vec = monodromy_entries(qi, lattice, regime).b @ vec
     return vec
 
 
@@ -330,6 +331,18 @@ def roots_to_text(roots: BetheRoots) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Roots-document field -> value parser, in the order roots_to_text writes them.
+_ROOTS_FIELDS = {
+    "regime": str,
+    "eta": complex,
+    "L": int,
+    "M": int,
+    "xi": parse_complex_list,
+    "q": parse_complex_list,
+    "residual": float,
+}
+
+
 def roots_from_text(text: str) -> BetheRoots:
     fields: dict[str, str] = {}
     for raw in text.splitlines():
@@ -338,19 +351,19 @@ def roots_from_text(text: str) -> BetheRoots:
             continue
         key, _, value = line.partition(":")
         fields[key.strip()] = value.strip()
-    try:
-        family = fields["regime"]
-        eta = complex(fields["eta"])
-        length = int(fields["L"])
-        magnons = int(fields["M"])
-        xi = parse_complex_list(fields["xi"])
-        q = parse_complex_list(fields["q"])
-        residual = float(fields["residual"])
-    except KeyError as exc:
-        raise ProvenanceError(f"roots document missing field {exc}") from exc
-    if len(xi) != length or len(q) != magnons:
+    parsed = {}
+    for key, parse in _ROOTS_FIELDS.items():
+        if key not in fields:
+            raise ProvenanceError(f"roots document missing field {key!r}")
+        try:
+            parsed[key] = parse(fields[key])
+        except ValueError as exc:
+            raise ProvenanceError(f"roots document: bad value for {key!r}: {exc}") from exc
+    if len(parsed["xi"]) != parsed["L"] or len(parsed["q"]) != parsed["M"]:
         raise ProvenanceError("roots document length fields disagree with lists")
-    return BetheRoots(q, residual, family, eta, xi)
+    return BetheRoots(
+        parsed["q"], parsed["residual"], parsed["regime"], parsed["eta"], parsed["xi"]
+    )
 
 
 def write_roots(roots: BetheRoots, path) -> None:

@@ -27,6 +27,9 @@ from .vertex_model import (
     c_weight_inv,
 )
 
+# Oracle entries below this fraction of max|oracle| are left out of the ratio.
+RATIO_FLOOR_SCALE = 1e-12
+
 
 def validate_configuration(x, n_sites: int, ordered: bool = True) -> tuple[int, ...]:
     """Check range and distinctness of an occupied-site configuration.
@@ -163,17 +166,15 @@ class RatioStatistic:
     n_total: int
 
 
-def ratio_statistic(
-    formula: WaveTable, oracle: WaveTable, floor_scale: float = 1e-12
-) -> RatioStatistic:
+def ratio_statistic(formula: WaveTable, oracle: WaveTable) -> RatioStatistic:
     """Measure the proportionality constant between two wave tables.
 
-    Configurations with |oracle| below floor_scale * max|oracle| are skipped
-    to avoid 0/0.  The spread is max |ratio - constant| / |constant|.
+    Configurations with |oracle| below RATIO_FLOOR_SCALE * max|oracle| are
+    skipped to avoid 0/0.  The spread is max |ratio - constant| / |constant|.
     """
     if set(formula.entries) != set(oracle.entries):
         raise ValueError("wave tables cover different configuration sets")
-    floor = floor_scale * oracle.max_abs()
+    floor = RATIO_FLOOR_SCALE * oracle.max_abs()
     ratios = [
         formula.entries[x] / oracle.entries[x]
         for x in oracle.entries

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateParametersError, SizeCapError
 from .vertex_model import (
+    MAX_TRIES,
     PERMUTATION_CAP,
     SPECTRAL_GUARD,
     Regime,
@@ -127,24 +128,17 @@ def dwbc_recurrence(inp: DwbcInput) -> complex:
     return rec(frozenset(range(inp.size)))
 
 
-def random_input(
-    m: int,
-    regime: Regime,
-    rng,
-    spread: float | None = None,
-    guard: float | None = None,
-    max_tries: int = 2000,
-) -> DwbcInput:
-    """Sample a well-conditioned input from a complex box.
+def random_input(m: int, regime: Regime, rng) -> DwbcInput:
+    """Sample a well-conditioned input from the family's complex box.
 
-    Column parameters keep pairwise phi-separation above ``guard`` and every
-    pool difference stays away from the eta-shifted zeros, so both evaluation
-    routes see O(1) weight ratios.
+    Column parameters keep pairwise phi-separation above the family's pair
+    guard and every pool difference stays away from the eta-shifted zeros,
+    so both evaluation routes see O(1) weight ratios.
     """
     profile = sampling_profile(regime)
-    spread = profile["spread"] if spread is None else spread
-    guard = profile["pair_guard"] if guard is None else guard
-    for _ in range(max_tries):
+    spread = profile["spread"]
+    guard = profile["pair_guard"]
+    for _ in range(MAX_TRIES):
         mu = tuple(complex(a, b) for a, b in rng.uniform(-spread, spread, (m, 2)))
         q = tuple(complex(a, b) for a, b in rng.uniform(-spread, spread, (m, 2)))
         pool = mu + q
@@ -161,5 +155,5 @@ def random_input(
         if ok:
             return DwbcInput(mu, q, regime)
     raise DegenerateParametersError(
-        f"could not sample a generic partition-function input after {max_tries} tries"
+        f"could not sample a generic partition-function input after {MAX_TRIES} tries"
     )

@@ -33,10 +33,6 @@ class PoleError(ValueError):
     """Evaluation point too close to an explicit pole; shift it and retry."""
 
 
-class ConventionError(RuntimeError):
-    """Internal consistency check failed; indicates a programming bug."""
-
-
 class SizeCapError(ValueError):
     """Requested permutation sum exceeds the configured size cap."""
 

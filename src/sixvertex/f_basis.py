@@ -96,23 +96,25 @@ def factorizing_operator(lattice: LatticeSpec, regime: Regime) -> FactorizingOpe
     return FactorizingOperator(f=f, f_inv=f_inv)
 
 
-def factorization_residual(lattice: LatticeSpec, regime: Regime, site: int) -> float:
-    """Residual of rebuilding the factorizer across one adjacent transposition.
+def factorization_residual(lattice: LatticeSpec, regime: Regime) -> float:
+    """Worst residual of rebuilding the factorizer across each adjacent transposition.
 
-    The operator built with sites (i, i+1) swapped (parameters included),
-    multiplied by the S-matrix on that pair, must reproduce the original.
+    For every site i < L, the operator built with sites (i, i+1) swapped
+    (parameters included), multiplied by the S-matrix on that pair, must
+    reproduce the original.
     """
     L = lattice.length
-    if not 1 <= site <= L - 1:
-        raise ValueError(f"adjacent transposition needs 1 <= site <= {L - 1}")
     identity_order = tuple(range(1, L + 1))
-    swapped = list(identity_order)
-    swapped[site - 1], swapped[site] = swapped[site], swapped[site - 1]
     f = _factorizer_for_order(identity_order, lattice, regime)
-    f_swapped = _factorizer_for_order(tuple(swapped), lattice, regime)
-    gate = s_matrix(lattice.xi[site], lattice.xi[site - 1], regime)
-    s_embedded = embed_two_site(gate, site + 1, site, L)
-    return max_abs_diff(f, s_embedded @ f_swapped)
+    worst = 0.0
+    for site in range(1, L):
+        swapped = list(identity_order)
+        swapped[site - 1], swapped[site] = swapped[site], swapped[site - 1]
+        f_swapped = _factorizer_for_order(tuple(swapped), lattice, regime)
+        gate = s_matrix(lattice.xi[site], lattice.xi[site - 1], regime)
+        s_embedded = embed_two_site(gate, site + 1, site, L)
+        worst = max(worst, max_abs_diff(f, s_embedded @ f_swapped))
+    return worst
 
 
 def diagonal_a(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
@@ -224,7 +226,7 @@ def f_matrix_element_residual(lattice: LatticeSpec, regime: Regime) -> float:
     sector; rows outside the M-particle sector vanish on both sides.
     """
     L = lattice.length
-    f = factorizing_operator(lattice, regime).f
+    f = _factorizer_for_order(tuple(range(1, L + 1)), lattice, regime)
     b_ops = {}
     worst = 0.0
     for m_count in range(L + 1):
@@ -232,9 +234,7 @@ def f_matrix_element_residual(lattice: LatticeSpec, regime: Regime) -> float:
             vec = vacuum_state(L)
             for n in reversed(subset):
                 if n not in b_ops:
-                    b_ops[n] = monodromy_entries(
-                        lattice.xi[n - 1], lattice, regime, check=False
-                    ).b
+                    b_ops[n] = monodromy_entries(lattice.xi[n - 1], lattice, regime).b
                 vec = b_ops[n] @ vec
             col = f[:, index_of_sites(subset, L)]
             worst = max(worst, max_abs_diff(col, vec))

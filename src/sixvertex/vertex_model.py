@@ -13,21 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConventionError,
-    DegenerateParametersError,
-    PoleError,
-    SingularWeightError,
-)
-from .tensor_core import (
-    embed_two_site,
-    identity_operator,
-    max_abs_diff,
-    occupation_count,
-    vacuum_state,
-)
+from .errors import DegenerateParametersError, PoleError, SingularWeightError
+from .tensor_core import embed_two_site, identity_operator
 
 POLE_TOL = 1e-12
+# Closest phi(t - q_alpha) at which transfer_eigenvalue still evaluates.
+EIGENVALUE_POLE_TOL = 1e-8
 GENERICITY_FLOOR = 1e-6
 # Largest M whose M!-term permutation sums (wave function, partition
 # function) run unless a caller raises the cap.
@@ -44,6 +35,8 @@ _SAMPLING = {
     "trigonometric": {"spread": 1.0, "pair_guard": 0.3, "site_guard": 0.12},
 }
 SPECTRAL_GUARD = 0.15
+# Draws every rejection sampler makes before giving up.
+MAX_TRIES = 2000
 
 
 def sampling_profile(regime: "Regime") -> dict:
@@ -106,9 +99,9 @@ class LatticeSpec:
         """True if all pairwise weight denominators stay away from poles."""
         return self._coincidence(regime, floor) is None
 
-    def require_generic(self, regime: Regime, floor: float = GENERICITY_FLOOR) -> None:
+    def require_generic(self, regime: Regime) -> None:
         """Raise ``DegenerateParametersError`` naming the first near-pole pair."""
-        problem = self._coincidence(regime, floor)
+        problem = self._coincidence(regime, GENERICITY_FLOOR)
         if problem is not None:
             raise DegenerateParametersError(problem)
 
@@ -196,7 +189,8 @@ def extract_entries(monodromy: np.ndarray, n_sites: int) -> MonodromyEntries:
     """Slice the four auxiliary-space blocks out of a monodromy matrix.
 
     The auxiliary slot is the least significant bit;  block assignment to
-    names is pinned by the vacuum actions (see ``monodromy_entries``).
+    names is pinned by the vacuum actions, which the ``vacuum_actions``
+    verify check tests.
     """
     dim = 1 << (n_sites + 1)
     if monodromy.shape != (dim, dim):
@@ -217,55 +211,29 @@ def vacuum_eigenvalue(t: complex, lattice: LatticeSpec, regime: Regime) -> compl
     return a
 
 
-def monodromy_entries(
-    t: complex, lattice: LatticeSpec, regime: Regime, check: bool = True
-) -> MonodromyEntries:
-    """Build the monodromy matrix and return its A, B, C, D blocks.
-
-    With ``check`` on, the vacuum actions A|0> = a(t)|0>, D|0> = |0>,
-    C|0> = 0 and the single-particle content of B|0> are verified; failure
-    means the block convention is wrong and raises ``ConventionError``.
-    """
-    entries = extract_entries(monodromy_matrix(t, lattice, regime), lattice.length)
-    if check:
-        vac = vacuum_state(lattice.length)
-        a_t = vacuum_eigenvalue(t, lattice, regime)
-        tol = 1e-12 * max(1.0, abs(a_t))
-        if max_abs_diff(entries.a @ vac, a_t * vac) > tol:
-            raise ConventionError("A(t) does not act on the vacuum as a(t)")
-        if max_abs_diff(entries.d @ vac, vac) > 1e-12:
-            raise ConventionError("D(t) does not fix the vacuum")
-        if float(np.max(np.abs(entries.c @ vac))) > 1e-12:
-            raise ConventionError("C(t) does not annihilate the vacuum")
-        bvac = entries.b @ vac
-        bad = [
-            i
-            for i in range(bvac.size)
-            if abs(bvac[i]) > 1e-12 and occupation_count(i) != 1
-        ]
-        if bad:
-            raise ConventionError("B(t)|0> leaks outside the one-particle sector")
-    return entries
+def monodromy_entries(t: complex, lattice: LatticeSpec, regime: Regime) -> MonodromyEntries:
+    """Build the monodromy matrix and return its A, B, C, D blocks."""
+    return extract_entries(monodromy_matrix(t, lattice, regime), lattice.length)
 
 
 def transfer_matrix(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
     """Auxiliary-space trace A(t) + D(t)."""
-    entries = monodromy_entries(t, lattice, regime, check=False)
+    entries = monodromy_entries(t, lattice, regime)
     return entries.a + entries.d
 
 
-def transfer_eigenvalue(
-    t: complex, roots, lattice: LatticeSpec, regime: Regime, pole_tol: float = 1e-8
-) -> complex:
+def transfer_eigenvalue(t: complex, roots, lattice: LatticeSpec, regime: Regime) -> complex:
     """Transfer-matrix eigenvalue at spectral point t for the given roots.
 
-    Has explicit poles at t = q_alpha; points closer than ``pole_tol`` are
-    rejected since the cancellation only happens in the action on the state.
+    Has explicit poles at t = q_alpha; points closer than
+    ``EIGENVALUE_POLE_TOL`` are rejected since the cancellation only happens
+    in the action on the state.
     """
     for i, q in enumerate(roots, start=1):
-        if abs(regime.phi(t - q)) < pole_tol:
+        if abs(regime.phi(t - q)) < EIGENVALUE_POLE_TOL:
             raise PoleError(
-                f"t={t} within {pole_tol} of root q_{i}={q}; evaluate at a shifted point"
+                f"t={t} within {EIGENVALUE_POLE_TOL} of root q_{i}={q}; "
+                "evaluate at a shifted point"
             )
     term1 = vacuum_eigenvalue(t, lattice, regime)
     term2 = 1.0 + 0.0j
@@ -276,31 +244,24 @@ def transfer_eigenvalue(
 
 
 def random_lattice(
-    n_sites: int,
-    regime: Regime,
-    rng: np.random.Generator,
-    spread: float | None = None,
-    guard: float | None = None,
-    site_guard: float | None = None,
-    max_tries: int = 2000,
+    n_sites: int, regime: Regime, rng: np.random.Generator, spread: float | None = None
 ) -> LatticeSpec:
     """Sample inhomogeneities from a complex box, rejecting near-pole draws.
 
-    ``guard`` keeps pairwise differences (plain and eta-shifted) away from
-    zeros of phi; ``site_guard`` does the same for the weights at spectral
-    point 0, which the exchange identities evaluate.  Defaults come from the
-    per-family conditioning profile.
+    The pair guard keeps pairwise differences (plain and eta-shifted) away
+    from zeros of phi; the site guard does the same for the weights at
+    spectral point 0, which the exchange identities evaluate.  Box and guards
+    come from the per-family conditioning profile; ``spread`` narrows or
+    widens the box.
     """
     profile = _SAMPLING[regime.family]
     if spread is None:
         spread = profile["spread"]
     # guards scale down with a narrower user-requested box to stay feasible
     scale = min(1.0, spread / profile["spread"])
-    if guard is None:
-        guard = profile["pair_guard"] * scale
-    if site_guard is None:
-        site_guard = profile["site_guard"] * scale
-    for _ in range(max_tries):
+    guard = profile["pair_guard"] * scale
+    site_guard = profile["site_guard"] * scale
+    for _ in range(MAX_TRIES):
         re = rng.uniform(-spread, spread, size=n_sites)
         im = rng.uniform(-spread, spread, size=n_sites)
         xi = tuple(complex(a, b) for a, b in zip(re, im))
@@ -315,31 +276,25 @@ def random_lattice(
         if ok:
             return lattice
     raise DegenerateParametersError(
-        f"could not sample a generic lattice after {max_tries} tries"
+        f"could not sample a generic lattice after {MAX_TRIES} tries"
     )
 
 
 def random_spectral_point(
-    lattice: LatticeSpec,
-    regime: Regime,
-    rng: np.random.Generator,
-    spread: float | None = None,
-    guard: float = SPECTRAL_GUARD,
-    avoid=(),
-    max_tries: int = 2000,
+    lattice: LatticeSpec, regime: Regime, rng: np.random.Generator, avoid=()
 ) -> complex:
-    """Sample t from a complex box avoiding weight poles and listed points."""
-    if spread is None:
-        spread = _SAMPLING[regime.family]["spread"]
-    for _ in range(max_tries):
+    """Sample t from the family's box avoiding weight poles and listed points."""
+    spread = _SAMPLING[regime.family]["spread"]
+    for _ in range(MAX_TRIES):
         t = complex(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
         ok = all(
-            abs(regime.phi(x - t)) > guard and abs(regime.phi(x - t + regime.eta)) > guard
+            abs(regime.phi(x - t)) > SPECTRAL_GUARD
+            and abs(regime.phi(x - t + regime.eta)) > SPECTRAL_GUARD
             for x in lattice.xi
         )
-        ok = ok and all(abs(regime.phi(t - q)) > guard for q in avoid)
+        ok = ok and all(abs(regime.phi(t - q)) > SPECTRAL_GUARD for q in avoid)
         if ok:
             return t
     raise DegenerateParametersError(
-        f"could not sample a generic spectral point after {max_tries} tries"
+        f"could not sample a generic spectral point after {MAX_TRIES} tries"
     )

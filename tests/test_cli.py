@@ -2,9 +2,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sixvertex import bethe, config
+from sixvertex import bethe, config, dwbc
 from sixvertex.cli import main
 from sixvertex.config import RunConfig, load_config, parse_config_text
 from sixvertex.errors import ConfigError
@@ -240,35 +241,56 @@ def test_cli_wavefunction_missing_roots(tmp_path):
     assert not wave_path.exists()
 
 
-def test_cli_wavefunction_provenance_mismatch(tmp_path):
+def test_cli_wavefunction_provenance_mismatch(tmp_path, capsys):
     cfg_a = tmp_path / "a.cfg"
     cfg_a.write_text("regime: rational\neta: 1\nL: 2\nM: 1\nxi: 0, 0\nseed: 3\n")
     roots_path = tmp_path / "roots.txt"
     main(["solve", "--config", str(cfg_a), "--out", str(roots_path)])
+    solved = roots_path.read_text()
 
     cfg_b = tmp_path / "b.cfg"
     cfg_b.write_text("regime: rational\neta: 1\nL: 2\nM: 1\nxi: 0.4, -0.1\nseed: 3\n")
+    # A different lattice, then documents with a malformed integer or complex field.
+    cases = [
+        (cfg_b, solved, "different lattice"),
+        (cfg_a, solved.replace("L: 2", "L: two"), "'L'"),
+        (cfg_a, re.sub(r"^q: .*$", "q: 0.5+zz", solved, flags=re.M), "'q'"),
+    ]
     wave_path = tmp_path / "wave.txt"
-    code = main(
-        [
-            "wavefunction",
-            "--config",
-            str(cfg_b),
-            "--roots",
-            str(roots_path),
-            "--out",
-            str(wave_path),
-        ]
-    )
-    assert code == 2
-    assert not wave_path.exists()
+    for cfg, roots_text, named in cases:
+        roots_path.write_text(roots_text)
+        code = main(
+            [
+                "wavefunction",
+                "--config",
+                str(cfg),
+                "--roots",
+                str(roots_path),
+                "--out",
+                str(wave_path),
+            ]
+        )
+        assert code == 2
+        assert not wave_path.exists()
+        assert named in capsys.readouterr().err
 
 
 def test_cli_dwbc_runs(capsys):
     assert main(["dwbc", "--m", "4", "--seed", "5"]) == 0
     captured = capsys.readouterr().out
-    assert "relative diff" in captured
-    assert "row-permutation symmetry" in captured
+    # The same seeded draws as the command; |Z| < 1 here, so dividing by
+    # max(1, |Z|) would print absolute differences instead.
+    regime = RunConfig().regime()
+    rng = np.random.default_rng(5)
+    inp = dwbc.random_input(4, regime, rng)
+    total = dwbc.dwbc_sum(inp)
+    assert abs(total) < 1.0
+    rel = abs(total - dwbc.dwbc_recurrence(inp)) / abs(total)
+    perm = rng.permutation(4)
+    shuffled = dwbc.DwbcInput(tuple(inp.mu[p] for p in perm), inp.q, regime)
+    sym = abs(dwbc.dwbc_sum(shuffled) - total) / abs(total)
+    assert f"relative diff   : {rel:.3e}\n" in captured
+    assert f"row-permutation symmetry defect (measured): {sym:.3e}\n" in captured
 
 
 def test_run_wavefunction_zero_particles(tmp_path):

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from sixvertex import f_basis as fb
 from sixvertex import tensor_core as tc
 from sixvertex import vertex_model as vm
+from sixvertex.config import RunConfig
 from sixvertex.errors import DegenerateParametersError
+from sixvertex.verify import run_verify
 
 from conftest import RATIONAL, TRIG, make_lattice
 
@@ -53,21 +55,21 @@ def test_factorizer_fixes_vacuum(regime):
 
 def test_factorization_identity_two_sites(regime):
     lattice = make_lattice(2, regime, seed=31)
-    assert fb.factorization_residual(lattice, regime, 1) < 1e-12
+    assert fb.factorization_residual(lattice, regime) < 1e-12
 
 
 def test_factorization_identity_four_sites(regime):
     lattice = make_lattice(4, regime, seed=37)
-    for i in (1, 2, 3):
-        assert fb.factorization_residual(lattice, regime, i) < 1e-10
+    assert fb.factorization_residual(lattice, regime) < 1e-10
 
 
 def test_factorization_with_coinciding_pair(regime):
-    # Equal parameters on the swapped pair: the S factor degenerates to the
-    # permutation and the identity still holds.
+    # Equal parameters on the first pair: the S factor of that transposition
+    # degenerates to the permutation and the identity still holds, as it
+    # does for the generic second transposition.
     xi = (0.21 - 0.07j, 0.21 - 0.07j, -0.33 + 0.14j)
     lattice = vm.LatticeSpec(3, xi)
-    assert fb.factorization_residual(lattice, regime, 1) < 1e-12
+    assert fb.factorization_residual(lattice, regime) < 1e-12
 
 
 def test_diagonal_a_single_site(regime):
@@ -176,6 +178,31 @@ def test_condition_guard_rejects(monkeypatch, regime):
     monkeypatch.setattr(fb, "CONDITION_LIMIT", 1.0)
     with pytest.raises(DegenerateParametersError, match="ill conditioned"):
         fb.factorizing_operator(lattice, regime)
+
+
+def test_verify_builds_each_factorizer_once_per_check(monkeypatch, regime):
+    # f_factorization, f_matrix_elements and f_closed_forms each build the
+    # identity-order factorizer once, f_factorization adds one swapped build
+    # per transposition, and only f_closed_forms inverts F.
+    L = 6
+    identity_order = tuple(range(1, L + 1))
+    orders, inverses = [], []
+    build, invert = fb._factorizer_for_order, np.linalg.inv
+
+    def counted_build(order, lattice, regime):
+        orders.append(tuple(order))
+        return build(order, lattice, regime)
+
+    def counted_inv(*args, **kwargs):
+        inverses.append(args[0].shape)
+        return invert(*args, **kwargs)
+
+    monkeypatch.setattr(fb, "_factorizer_for_order", counted_build)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    run_verify(RunConfig(family=regime.family, eta=regime.eta, length=L, magnons=L // 2))
+    assert orders.count(identity_order) == 3
+    assert len(orders) - orders.count(identity_order) == L - 1
+    assert len(inverses) == 1
 
 
 def _dense_flip(kind, site, t, lattice, regime, occupied, empty):

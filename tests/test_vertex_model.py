@@ -186,8 +186,12 @@ def test_vacuum_actions_random(regime):
         rng = np.random.default_rng(3 * L)
         for _ in range(3):
             t = vm.random_spectral_point(lattice, regime, rng)
-            ent = vm.monodromy_entries(t, lattice, regime)  # raises on failure
+            ent = vm.monodromy_entries(t, lattice, regime)
             vac = tc.vacuum_state(L)
+            a_t = vm.vacuum_eigenvalue(t, lattice, regime)
+            assert tc.max_abs_diff(ent.a @ vac, a_t * vac) < 1e-12 * max(1.0, abs(a_t))
+            assert tc.max_abs_diff(ent.d @ vac, vac) < 1e-12
+            assert float(np.max(np.abs(ent.c @ vac))) < 1e-12
             bvac = ent.b @ vac
             n_tot = sum(tc.site_operator("number", i, L) for i in range(1, L + 1))
             assert np.allclose(n_tot @ bvac, bvac, atol=1e-12)
