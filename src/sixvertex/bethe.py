@@ -33,7 +33,6 @@ from .vertex_model import (
     c_weight,
     log_c_derivative,
     monodromy_entries,
-    random_spectral_point,
     transfer_eigenvalue,
     transfer_matrix,
     vacuum_eigenvalue,
@@ -301,16 +300,6 @@ def eigenstate_residual(
         z = transfer_matrix(t, lattice, regime)
         worst = max(worst, float(np.linalg.norm(z @ vec - lam * vec)) / norm)
     return worst
-
-
-def default_spectral_samples(
-    lattice: LatticeSpec, regime: Regime, roots, count: int = 3, seed: int = 0
-):
-    rng = np.random.default_rng(seed)
-    return [
-        random_spectral_point(lattice, regime, rng, avoid=tuple(roots))
-        for _ in range(count)
-    ]
 
 
 def _format_complex(z: complex) -> str:

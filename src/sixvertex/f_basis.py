@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DegenerateParametersError
 from .tensor_core import (
+    apply_two_site,
     embed_two_site,
     identity_operator,
     index_of_sites,
@@ -64,18 +65,20 @@ def _tail_product_for_order(order, pos, lattice, regime):
     out = identity_operator(L)
     for later in order[pos + 1 :]:
         gate = s_matrix(lattice.xi[later - 1], lattice.xi[n - 1], regime)
-        out = out @ embed_two_site(gate, later, n, L)
+        out = apply_two_site(out, gate, later, n, L)
     return out
 
 
 def _factorizer_for_order(order, lattice, regime):
+    # Each factor is the identity on the columns where its site is empty and
+    # the tail product on the others, so only the occupied columns change.
     L = lattice.length
+    bits = site_occupations(L)
     out = identity_operator(L)
     for pos, site in enumerate(order):
-        number = site_operator("number", site, L)
+        occupied = bits[site - 1] == 1
         tail = _tail_product_for_order(order, pos, lattice, regime)
-        factor = (identity_operator(L) - number) + tail * number.diagonal()
-        out = out @ factor
+        out[:, occupied] = tail[:, occupied] if pos == 0 else out @ tail[:, occupied]
     return out
 
 
@@ -210,12 +213,20 @@ def exchange_ratio(site_i: int, site_j: int, lattice: LatticeSpec, regime: Regim
     return num / (factors["c(xi_j)"] * factors["c(xi_i - xi_j)"])
 
 
-def exchange_residual(site_i: int, site_j: int, lattice: LatticeSpec, regime: Regime) -> float:
-    """Max-abs residual of B_i B_j = ratio * B_j B_i at t = 0."""
-    b_i = site_creation(site_i, 0.0, lattice, regime)
-    b_j = site_creation(site_j, 0.0, lattice, regime)
-    ratio = exchange_ratio(site_i, site_j, lattice, regime)
-    return max_abs_diff(b_i @ b_j, ratio * (b_j @ b_i))
+def exchange_residual(lattice: LatticeSpec, regime: Regime) -> float:
+    """Worst max-abs residual of B_i B_j = ratio * B_j B_i at t = 0 over all
+    ordered pairs of distinct sites."""
+    L = lattice.length
+    creation = [site_creation(site, 0.0, lattice, regime) for site in range(1, L + 1)]
+    worst = 0.0
+    for site_i in range(1, L + 1):
+        for site_j in range(1, L + 1):
+            if site_i == site_j:
+                continue
+            b_i, b_j = creation[site_i - 1], creation[site_j - 1]
+            ratio = exchange_ratio(site_i, site_j, lattice, regime)
+            worst = max(worst, max_abs_diff(b_i @ b_j, ratio * (b_j @ b_i)))
+    return worst
 
 
 def f_matrix_element_residual(lattice: LatticeSpec, regime: Regime) -> float:
@@ -227,15 +238,15 @@ def f_matrix_element_residual(lattice: LatticeSpec, regime: Regime) -> float:
     """
     L = lattice.length
     f = _factorizer_for_order(tuple(range(1, L + 1)), lattice, regime)
-    b_ops = {}
+    b_ops = {n: monodromy_entries(lattice.xi[n - 1], lattice, regime).b for n in range(1, L + 1)}
+    # Subsets run in increasing size, so the vector of (n_2 < ... < n_M) is
+    # ready when (n_1 < n_2 < ... < n_M) needs it.
+    vectors = {(): vacuum_state(L)}
     worst = 0.0
     for m_count in range(L + 1):
         for subset in combinations(range(1, L + 1), m_count):
-            vec = vacuum_state(L)
-            for n in reversed(subset):
-                if n not in b_ops:
-                    b_ops[n] = monodromy_entries(lattice.xi[n - 1], lattice, regime).b
-                vec = b_ops[n] @ vec
+            if subset:
+                vectors[subset] = b_ops[subset[0]] @ vectors[subset[1:]]
             col = f[:, index_of_sites(subset, L)]
-            worst = max(worst, max_abs_diff(col, vec))
+            worst = max(worst, max_abs_diff(col, vectors[subset]))
     return worst

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParametersError, PoleError, SingularWeightError
-from .tensor_core import embed_two_site, identity_operator
+from .tensor_core import apply_two_site, identity_operator
+# Unused here; perfbench/selftest.py checks that tracing wraps this binding.
+from .tensor_core import embed_two_site  # noqa: F401
 
 POLE_TOL = 1e-12
 # Closest phi(t - q_alpha) at which transfer_eigenvalue still evaluates.
@@ -174,14 +176,20 @@ def monodromy_matrix(t: complex, lattice: LatticeSpec, regime: Regime) -> np.nda
 
     Factors are composed left to right: site 1 outermost, acting last on kets.
     """
-    L = lattice.length
     for i, x in enumerate(lattice.xi, start=1):
         if abs(regime.phi(x - t + regime.eta)) < POLE_TOL:
             raise SingularWeightError(f"phi(xi_{i} - t + eta) = 0 at site {i}, t={t}")
-    aux = L + 1
-    out = identity_operator(aux)
+    # The product of the first i - 1 factors acts as the identity on sites
+    # i..L, so it is kept on sites 1..i-1 plus aux only.  Site i joins as an
+    # identity factor just above aux (an exact copy), then S couples it to aux.
+    out = identity_operator(1)
     for i, x in enumerate(lattice.xi, start=1):
-        out = out @ embed_two_site(s_matrix(x, t, regime), i, aux, aux)
+        half = out.shape[0] // 2
+        grown = np.zeros((half, 2, 2, half, 2, 2), dtype=complex)
+        for s in (0, 1):
+            grown[:, s, :, :, s, :] = out.reshape(half, 2, half, 2)
+        grown = grown.reshape(4 * half, 4 * half)
+        out = apply_two_site(grown, s_matrix(x, t, regime), i, i + 1, i + 1)
     return out
 
 

@@ -10,7 +10,7 @@ from sixvertex.errors import (
     SolverFailureError,
 )
 
-from conftest import RATIONAL, make_lattice
+from conftest import RATIONAL, default_spectral_samples, make_lattice
 
 CLOSED_LATTICE = vm.LatticeSpec(2, (0.0, 0.0))
 
@@ -77,14 +77,14 @@ def test_two_roots_verify_as_eigenstate(regime):
     lattice = make_lattice(4, regime, seed=12)
     roots = bethe.solve_bethe_roots(2, lattice, regime, seed=2)
     assert roots.residual < 1e-12
-    ts = bethe.default_spectral_samples(lattice, regime, roots.q, count=3, seed=4)
+    ts = default_spectral_samples(lattice, regime, roots.q, count=3, seed=4)
     assert bethe.eigenstate_residual(roots, lattice, regime, ts) < 1e-9
 
 
 def test_eigenstate_empty_roots(regime):
     lattice = make_lattice(3, regime, seed=13)
     roots = bethe.solve_bethe_roots(0, lattice, regime)
-    ts = bethe.default_spectral_samples(lattice, regime, (), count=2, seed=5)
+    ts = default_spectral_samples(lattice, regime, (), count=2, seed=5)
     assert bethe.eigenstate_residual(roots, lattice, regime, ts) < 1e-12
 
 
@@ -128,7 +128,7 @@ def test_root_permutation_invariance(regime):
     v1 = bethe.bethe_vector(roots.q, lattice, regime)
     v2 = bethe.bethe_vector(swapped.q, lattice, regime)
     assert float(np.max(np.abs(v1 - v2))) < 1e-10
-    ts = bethe.default_spectral_samples(lattice, regime, roots.q, count=2, seed=7)
+    ts = default_spectral_samples(lattice, regime, roots.q, count=2, seed=7)
     r1 = bethe.eigenstate_residual(roots, lattice, regime, ts)
     r2 = bethe.eigenstate_residual(swapped, lattice, regime, ts)
     assert abs(r1 - r2) < 1e-10
