@@ -5,6 +5,13 @@ as the identity on an empty site and as the ordered S-matrix chain coupling
 the site to all later sites on an occupied one.  Conjugating the monodromy
 blocks with it turns A diagonal and B, C into quasilocal sums of single-site
 flips whose amplitudes depend multiplicatively on the other occupations.
+
+The closed forms are kept as that data: A as its diagonal, each B or C term
+as the weight vector of its flip.  The identities between them are checked
+on weights, column by column, and the identities that involve F or the
+monodromy blocks on a block of random probe vectors (Freivalds' test):
+X = Y is accepted when X·V and Y·V agree, which for a false identity fails
+with probability 1 over V.
 """
 
 from __future__ import annotations
@@ -16,15 +23,18 @@ import numpy as np
 
 from .errors import DegenerateParametersError
 from .tensor_core import (
+    apply_site_flips,
     apply_two_site,
-    embed_two_site,
+    flip_columns,
     identity_operator,
     index_of_sites,
     max_abs_diff,
+    probe_residual,
     site_occupations,
-    site_operator,
     vacuum_state,
 )
+# Unused here; perfbench/selftest.py checks that tracing wraps this binding.
+from .tensor_core import embed_two_site  # noqa: F401
 from .vertex_model import (
     LatticeSpec,
     Regime,
@@ -36,14 +46,27 @@ from .vertex_model import (
 )
 
 CONDITION_LIMIT = 1e12
+# Random complex probe vectors per operator identity, drawn from their own
+# generator so that every check sees the same block.
+PROBES = 3
+PROBE_SEED = 1977
 
 
 @dataclass(frozen=True)
 class FactorizingOperator:
-    """Factorizing operator and its (numerically computed) inverse."""
+    """Factorizing operator, its (numerically computed) inverse, and the
+    1-norm condition estimate of the pair."""
 
     f: np.ndarray
     f_inv: np.ndarray
+    cond1: float
+
+
+def probe_block(n_sites: int) -> np.ndarray:
+    """The (2^L, PROBES) block of complex Gaussian probe vectors."""
+    rng = np.random.default_rng(PROBE_SEED)
+    shape = (1 << n_sites, PROBES)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def s_tail_product(site: int, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
@@ -58,15 +81,26 @@ def s_tail_product(site: int, lattice: LatticeSpec, regime: Regime) -> np.ndarra
     return _tail_product_for_order(tuple(range(1, L + 1)), site - 1, lattice, regime)
 
 
-def _tail_product_for_order(order, pos, lattice, regime):
-    # order: site labels in build order; pos: index into order.
-    L = lattice.length
+def _tail_gates(order, pos, lattice, regime):
+    # order: site labels in build order; pos: index into order.  The tail
+    # is the product of these (gate, site, site) factors, left to right.
     n = order[pos]
-    out = identity_operator(L)
     for later in order[pos + 1 :]:
-        gate = s_matrix(lattice.xi[later - 1], lattice.xi[n - 1], regime)
-        out = apply_two_site(out, gate, later, n, L)
+        yield s_matrix(lattice.xi[later - 1], lattice.xi[n - 1], regime), later, n
+
+
+def _tail_product_for_order(order, pos, lattice, regime):
+    L = lattice.length
+    out = identity_operator(L)
+    for gate, site_i, site_j in _tail_gates(order, pos, lattice, regime):
+        out = apply_two_site(out, gate, site_i, site_j, L)
     return out
+
+
+def _apply_gate_left(gate, site_i, site_j, block, n_sites):
+    # embed(g) @ block = (block^T @ embed(g^T))^T: the gate's embedding
+    # transposes to the embedding of its transpose.
+    return apply_two_site(block.T, gate.T, site_i, site_j, n_sites).T
 
 
 def _factorizer_for_order(order, lattice, regime):
@@ -79,6 +113,24 @@ def _factorizer_for_order(order, lattice, regime):
         occupied = bits[site - 1] == 1
         tail = _tail_product_for_order(order, pos, lattice, regime)
         out[:, occupied] = tail[:, occupied] if pos == 0 else out @ tail[:, occupied]
+    return out
+
+
+def apply_factorizer(order, block, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
+    """F·block for the factorizer built in ``order``, without building F.
+
+    Factors act last first.  A factor keeps the rows where its site is empty
+    and applies its tail gates, last first, to the rows where it is occupied.
+    """
+    L = lattice.length
+    bits = site_occupations(L)
+    out = np.array(block, dtype=complex)
+    for pos in reversed(range(L)):
+        occupied = (bits[order[pos] - 1] == 1)[:, None]
+        part = np.where(occupied, out, 0)
+        for gate, site_i, site_j in reversed(list(_tail_gates(order, pos, lattice, regime))):
+            part = _apply_gate_left(gate, site_i, site_j, part, L)
+        out = np.where(occupied, 0, out) + part
     return out
 
 
@@ -96,46 +148,54 @@ def factorizing_operator(lattice: LatticeSpec, regime: Regime) -> FactorizingOpe
         raise DegenerateParametersError(
             f"factorizing operator ill conditioned (estimate {cond:.3e})"
         )
-    return FactorizingOperator(f=f, f_inv=f_inv)
+    return FactorizingOperator(f=f, f_inv=f_inv, cond1=float(cond))
+
+
+def transposition_gate(site: int, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
+    """S(xi_{site+1}, xi_site), acting on sites (site + 1, site): the factor
+    that carries the factorizer built with the pair swapped into F."""
+    return s_matrix(lattice.xi[site], lattice.xi[site - 1], regime)
 
 
 def factorization_residual(lattice: LatticeSpec, regime: Regime) -> float:
-    """Worst residual of rebuilding the factorizer across each adjacent transposition.
+    """Worst probe residual of rebuilding the factorizer across each adjacent
+    transposition.
 
     For every site i < L, the operator built with sites (i, i+1) swapped
-    (parameters included), multiplied by the S-matrix on that pair, must
-    reproduce the original.
+    (parameters included), multiplied from the left by the S-matrix on that
+    pair, must reproduce the original; both sides act on the probe block.
     """
     L = lattice.length
     identity_order = tuple(range(1, L + 1))
-    f = _factorizer_for_order(identity_order, lattice, regime)
+    block = probe_block(L)
+    lhs = apply_factorizer(identity_order, block, lattice, regime)
     worst = 0.0
     for site in range(1, L):
         swapped = list(identity_order)
         swapped[site - 1], swapped[site] = swapped[site], swapped[site - 1]
-        f_swapped = _factorizer_for_order(tuple(swapped), lattice, regime)
-        gate = s_matrix(lattice.xi[site], lattice.xi[site - 1], regime)
-        s_embedded = embed_two_site(gate, site + 1, site, L)
-        worst = max(worst, max_abs_diff(f, s_embedded @ f_swapped))
+        rhs = apply_factorizer(tuple(swapped), block, lattice, regime)
+        rhs = _apply_gate_left(transposition_gate(site, lattice, regime), site + 1, site, rhs, L)
+        worst = max(worst, probe_residual(lhs, rhs))
     return worst
 
 
 def diagonal_a(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
-    """Closed-form diagonal image of A(t): prod_i [c(xi_i - t)(1 - n_i) + n_i]."""
+    """Diagonal of the closed-form image of A(t):
+    prod_i [c(xi_i - t)(1 - n_i) + n_i] per basis state."""
     L = lattice.length
     bits = site_occupations(L)
     diag = np.ones(1 << L, dtype=complex)
     for i in range(L):
         diag *= np.where(bits[i] == 1, 1.0, c_weight(lattice.xi[i] - t, regime))
-    return np.diag(diag)
+    return diag
 
 
-def _flip_term(kind, site, t, lattice, regime, factors):
-    """Flip ``kind`` at ``site`` weighted by b(xi_site - t) and, on every
-    other site k (0-based), by ``factors(k)`` = (occupied, empty) weight.
+def _flip_term(site, t, lattice, regime, factors):
+    """Weight vector of a flip at ``site``: b(xi_site - t) times, on every
+    other site k (0-based), ``factors(k)`` = (occupied, empty) weight.
 
-    The flip is a 0/1 operator, so scaling its columns by broadcasting gives
-    exactly its product with the diagonal weight operator.
+    The flip itself acts only on the columns where ``site`` has the state it
+    flips; the entries of the other columns are weights it multiplies by 0.
     """
     L = lattice.length
     bits = site_occupations(L)
@@ -144,15 +204,15 @@ def _flip_term(kind, site, t, lattice, regime, factors):
         if k != site - 1:
             occupied, empty = factors(k)
             diag *= np.where(bits[k] == 1, occupied, empty)
-    return site_operator(kind, site, L) * diag
+    return diag
 
 
 def site_creation(
     site: int, t: complex, lattice: LatticeSpec, regime: Regime
 ) -> np.ndarray:
-    """Quasilocal creation term at one site.
+    """Weight vector of the quasilocal creation term at one site.
 
-    Raises the occupation at ``site`` with weight b(xi_site - t), times
+    The term raises the occupation at ``site`` with weight b(xi_site - t), times
     [c(xi_k - t) / c(xi_k - xi_site)] on every other empty site k and 1 on
     occupied ones.  Requires pairwise-generic inhomogeneities.
     """
@@ -165,34 +225,69 @@ def site_creation(
     def factors(k):
         return 1.0, c_weight(xi[k] - t, regime) * c_weight_inv(xi[k] - xi[site - 1], regime)
 
-    return _flip_term("raise", site, t, lattice, regime, factors)
+    return _flip_term(site, t, lattice, regime, factors)
 
 
 def quasilocal_b(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
-    """Closed-form image of B(t): sum of the per-site creation terms."""
-    return sum(
-        site_creation(site, t, lattice, regime)
-        for site in range(1, lattice.length + 1)
+    """Closed-form image of B(t), a sum of per-site raise flips: the
+    (L, 2^L) stack of their weight vectors (``site_creation``), site 1 first."""
+    return np.array(
+        [site_creation(site, t, lattice, regime) for site in range(1, lattice.length + 1)]
     )
 
 
 def quasilocal_c(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
-    """Closed-form image of C(t): quasilocal sum of single-site annihilations.
+    """Closed-form image of C(t), a sum of per-site lower flips: the (L, 2^L)
+    stack of their weight vectors, site 1 first.
 
     Site k contributes c(xi_k - t) when empty and 1/c(xi_site - xi_k) when
     occupied, mirroring the creation form with the ratio inverted.
     """
-    L = lattice.length
     lattice.require_generic(regime)
     xi = lattice.xi
-    out = np.zeros((1 << L, 1 << L), dtype=complex)
-    for site in range(1, L + 1):
 
+    def term(site):
         def factors(k):
             return c_weight_inv(xi[site - 1] - xi[k], regime), c_weight(xi[k] - t, regime)
 
-        out += _flip_term("lower", site, t, lattice, regime, factors)
-    return out
+        return _flip_term(site, t, lattice, regime, factors)
+
+    return np.array([term(site) for site in range(1, lattice.length + 1)])
+
+
+def closed_forms_residual(f: np.ndarray, t: complex, lattice: LatticeSpec, regime: Regime) -> float:
+    """Worst probe residual of X(t)·F = F·X̃(t) for X = A, B, C.
+
+    The closed forms X̃ act on the probe block as weights and flips; F and
+    the monodromy blocks X(t) as dense matrices.  No inverse of F is used.
+    """
+    block = probe_block(lattice.length)
+    ent = monodromy_entries(t, lattice, regime)
+    f_block = f @ block
+    pairs = (
+        (ent.a, diagonal_a(t, lattice, regime)[:, None] * block),
+        (ent.b, apply_site_flips("raise", quasilocal_b(t, lattice, regime), block)),
+        (ent.c, apply_site_flips("lower", quasilocal_c(t, lattice, regime), block)),
+    )
+    return max(probe_residual(x @ f_block, f @ tilde_block) for x, tilde_block in pairs)
+
+
+def commutation_residual(t: complex, t2: complex, lattice: LatticeSpec, regime: Regime) -> float:
+    """Worst max-abs residual of b_i(t)·Ã(t2) = c(xi_i - t2)·Ã(t2)·b_i(t) over
+    all sites i, on weights.
+
+    Both sides are nonzero only at (x | i, x) for x with site i empty, where
+    they read d_i[x]·a[x] and c(xi_i - t2)·a[x | i]·d_i[x].
+    """
+    L = lattice.length
+    a = diagonal_a(t2, lattice, regime)
+    worst = 0.0
+    for i in range(1, L + 1):
+        d_i = site_creation(i, t, lattice, regime)
+        scale = c_weight(lattice.xi[i - 1] - t2, regime)
+        x, raised = flip_columns(i, L)
+        worst = max(worst, max_abs_diff(d_i[x] * a[x], scale * (a[raised] * d_i[x])))
+    return worst
 
 
 def exchange_ratio(site_i: int, site_j: int, lattice: LatticeSpec, regime: Regime) -> complex:
@@ -215,17 +310,25 @@ def exchange_ratio(site_i: int, site_j: int, lattice: LatticeSpec, regime: Regim
 
 def exchange_residual(lattice: LatticeSpec, regime: Regime) -> float:
     """Worst max-abs residual of B_i B_j = ratio * B_j B_i at t = 0 over all
-    ordered pairs of distinct sites."""
+    ordered pairs of distinct sites, on weights.
+
+    Both products are nonzero only at (x | i | j, x) for x with sites i and
+    j empty, where B_i B_j reads d_i[x | j]·d_j[x] and B_j B_i reads
+    d_j[x | i]·d_i[x].
+    """
     L = lattice.length
     creation = [site_creation(site, 0.0, lattice, regime) for site in range(1, L + 1)]
+    bits = site_occupations(L)
     worst = 0.0
     for site_i in range(1, L + 1):
         for site_j in range(1, L + 1):
             if site_i == site_j:
                 continue
-            b_i, b_j = creation[site_i - 1], creation[site_j - 1]
+            d_i, d_j = creation[site_i - 1], creation[site_j - 1]
+            x = np.flatnonzero((bits[site_i - 1] | bits[site_j - 1]) == 0)
+            x_i, x_j = x | index_of_sites((site_i,), L), x | index_of_sites((site_j,), L)
             ratio = exchange_ratio(site_i, site_j, lattice, regime)
-            worst = max(worst, max_abs_diff(b_i @ b_j, ratio * (b_j @ b_i)))
+            worst = max(worst, max_abs_diff(d_i[x_j] * d_j[x], ratio * (d_j[x_i] * d_i[x])))
     return worst
 
 

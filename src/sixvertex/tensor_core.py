@@ -6,7 +6,8 @@ basis index of a configuration puts site 1 in the most significant bit.
 The all-empty configuration is index 0.  Operators are dense complex
 matrices with row = out-state and column = in-state.  ``apply_two_site``
 multiplies an operator by a two-site gate without forming the dense
-``embed_two_site`` matrix.
+``embed_two_site`` matrix, and ``apply_site_flips`` applies a weighted sum
+of single-site flips to a block of vectors without forming any operator.
 """
 
 from __future__ import annotations
@@ -30,27 +31,6 @@ def _bit_position(site: int, n_sites: int) -> int:
     return n_sites - site
 
 
-def encode_bits(bits) -> int:
-    """Index of an occupation bitstring (site 1 first)."""
-    index = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"occupation must be 0 or 1, got {b!r}")
-        index = (index << 1) | b
-    return index
-
-
-def decode_bits(index: int, n_sites: int) -> tuple[int, ...]:
-    """Occupation bitstring of a basis index, site 1 first."""
-    if not 0 <= index < (1 << n_sites):
-        raise ValueError(f"index {index} out of range for {n_sites} sites")
-    return tuple((index >> _bit_position(s, n_sites)) & 1 for s in range(1, n_sites + 1))
-
-
-def occupation_count(index: int) -> int:
-    return bin(index).count("1")
-
-
 def site_occupations(n_sites: int) -> list[np.ndarray]:
     """Per site (site 1 first), its occupation bit across every basis index."""
     indices = np.arange(1 << n_sites)
@@ -65,10 +45,6 @@ def index_of_sites(sites, n_sites: int) -> int:
             raise ValueError(f"site {s} out of range 1..{n_sites}")
         index |= 1 << _bit_position(s, n_sites)
     return index
-
-
-def occupied_sites(index: int, n_sites: int) -> tuple[int, ...]:
-    return tuple(s for s in range(1, n_sites + 1) if (index >> _bit_position(s, n_sites)) & 1)
 
 
 def vacuum_state(n_sites: int) -> np.ndarray:
@@ -171,6 +147,48 @@ def apply_two_site(op, gate, site_i: int, site_j: int, n_sites: int) -> np.ndarr
     return out.reshape(rows, dim)
 
 
+def flip_columns(site: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices with ``site`` empty, and the same indices with it occupied.
+
+    A raise flip at ``site`` maps the first onto the second, a lower flip the
+    second onto the first.
+    """
+    if not 1 <= site <= n_sites:
+        raise ValueError(f"site {site} out of range 1..{n_sites}")
+    empty = np.flatnonzero(site_occupations(n_sites)[site - 1] == 0)
+    return empty, empty | (1 << _bit_position(site, n_sites))
+
+
+def apply_site_flips(kind: str, weights, block) -> np.ndarray:
+    """Sum over sites s of ``site_operator(kind, s, L) * weights[s - 1]``,
+    applied to ``block`` (rows = basis states), without building an operator.
+
+    ``weights`` stacks one weight vector per site, site 1 first, so L is its
+    row count; ``kind`` is "raise" or "lower".
+    """
+    if kind not in ("raise", "lower"):
+        raise ValueError(f"kind must be 'raise' or 'lower', got {kind!r}")
+    weights = np.asarray(weights)
+    block = np.asarray(block)
+    n_sites = weights.shape[0]
+    dim = 1 << n_sites
+    if weights.shape != (n_sites, dim) or block.ndim != 2 or block.shape[0] != dim:
+        raise ValueError(f"weights {weights.shape} and block {block.shape} do not match")
+    out = np.zeros(block.shape, dtype=complex)
+    for site, w in enumerate(weights, start=1):
+        empty, occupied = flip_columns(site, n_sites)
+        src, dst = (empty, occupied) if kind == "raise" else (occupied, empty)
+        out[dst] += w[src, None] * block[src]
+    return out
+
+
 def max_abs_diff(a, b) -> float:
     """Uniform operator metric used throughout the suite."""
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def probe_residual(lhs, rhs) -> float:
+    """max|lhs - rhs| / max(1, max|lhs|): the residual of an operator identity
+    X = Y checked on probe vectors, lhs = X·V and rhs = Y·V."""
+    lhs = np.asarray(lhs)
+    return max_abs_diff(lhs, rhs) / max(1.0, float(np.max(np.abs(lhs))))

@@ -140,7 +140,12 @@ def _check_vacuum_actions(ctx):
 def _check_f_factorization(ctx):
     regime, lattice = ctx["regime"], ctx["lattice"]
     worst = f_basis.factorization_residual(lattice, regime)
-    return worst, {"L": lattice.length, "transpositions": lattice.length - 1}
+    return worst, {
+        "L": lattice.length,
+        "transpositions": lattice.length - 1,
+        "route": "probe",
+        "probes": f_basis.PROBES,
+    }
 
 
 def _check_f_matrix_elements(ctx):
@@ -156,14 +161,14 @@ def _check_f_closed_forms(ctx):
     samples = 3
     for _ in range(samples):
         t = vm.random_spectral_point(lattice, regime, rng)
-        ent = vm.monodromy_entries(t, lattice, regime)
-        worst = max(
-            worst,
-            tc.max_abs_diff(fac.f_inv @ ent.a @ fac.f, f_basis.diagonal_a(t, lattice, regime)),
-            tc.max_abs_diff(fac.f_inv @ ent.b @ fac.f, f_basis.quasilocal_b(t, lattice, regime)),
-            tc.max_abs_diff(fac.f_inv @ ent.c @ fac.f, f_basis.quasilocal_c(t, lattice, regime)),
-        )
-    return worst, {"L": lattice.length, "spectral_samples": samples}
+        worst = max(worst, f_basis.closed_forms_residual(fac.f, t, lattice, regime))
+    return worst, {
+        "L": lattice.length,
+        "spectral_samples": samples,
+        "route": "probe",
+        "probes": f_basis.PROBES,
+        "cond1_F": fac.cond1,
+    }
 
 
 def _check_creation_commutation(ctx):
@@ -173,17 +178,13 @@ def _check_creation_commutation(ctx):
     for _ in range(pairs):
         t = vm.random_spectral_point(lattice, regime, rng)
         t2 = vm.random_spectral_point(lattice, regime, rng)
-        af = f_basis.diagonal_a(t2, lattice, regime)
-        for i in range(1, lattice.length + 1):
-            b_i = f_basis.site_creation(i, t, lattice, regime)
-            scale = vm.c_weight(lattice.xi[i - 1] - t2, regime)
-            worst = max(worst, tc.max_abs_diff(b_i @ af, scale * (af @ b_i)))
-    return worst, {"L": lattice.length, "pairs": pairs}
+        worst = max(worst, f_basis.commutation_residual(t, t2, lattice, regime))
+    return worst, {"L": lattice.length, "pairs": pairs, "route": "weights"}
 
 
 def _check_creation_exchange(ctx):
     regime, lattice = ctx["regime"], ctx["lattice"]
-    return f_basis.exchange_residual(lattice, regime), {"L": lattice.length}
+    return f_basis.exchange_residual(lattice, regime), {"L": lattice.length, "route": "weights"}
 
 
 def _check_bae_solve(ctx):

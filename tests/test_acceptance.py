@@ -16,6 +16,12 @@ from sixvertex import vertex_model as vm
 from sixvertex.cli import main
 
 from conftest import RATIONAL, TRIG, default_spectral_samples, make_lattice
+from dense_routes import (
+    closed_forms_dense_residual,
+    commutation_dense_residual,
+    exchange_dense_residual,
+    factorization_dense_residual,
+)
 
 REGIMES = ((RATIONAL, "rational"), (TRIG, "trigonometric"))
 
@@ -64,7 +70,8 @@ def test_criterion_01_unitarity_and_yang_baxter():
 
 
 def test_criterion_02_closed_forms_match_conjugation():
-    worst = 0.0
+    # probe route X(t) F V = F X~(t) V, and the dense F^-1 X(t) F = X~(t)
+    worst = worst_dense = 0.0
     for regime, _ in REGIMES:
         rng = np.random.default_rng(202)
         for draw in range(10):
@@ -73,31 +80,21 @@ def test_criterion_02_closed_forms_match_conjugation():
             fac = f_basis.factorizing_operator(lattice, regime)
             for _ in range(5):
                 t = vm.random_spectral_point(lattice, regime, rng)
-                ent = vm.monodromy_entries(t, lattice, regime)
-                worst = max(
-                    worst,
-                    tc.max_abs_diff(
-                        fac.f_inv @ ent.a @ fac.f, f_basis.diagonal_a(t, lattice, regime)
-                    ),
-                    tc.max_abs_diff(
-                        fac.f_inv @ ent.b @ fac.f, f_basis.quasilocal_b(t, lattice, regime)
-                    ),
-                    tc.max_abs_diff(
-                        fac.f_inv @ ent.c @ fac.f, f_basis.quasilocal_c(t, lattice, regime)
-                    ),
-                )
-    ok = worst < 1e-10
-    report(2, "f_basis_closed_forms", ok, f"max residual {worst:.2e}")
+                worst = max(worst, f_basis.closed_forms_residual(fac.f, t, lattice, regime))
+                worst_dense = max(worst_dense, closed_forms_dense_residual(fac, t, lattice, regime))
+    ok = worst < 1e-10 and worst_dense < 1e-10
+    report(2, "f_basis_closed_forms", ok, f"probe {worst:.2e}, dense {worst_dense:.2e}")
 
 
 def test_criterion_03_factorization_adjacent_transpositions():
-    worst = 0.0
+    worst = worst_dense = 0.0
     for regime, _ in REGIMES:
         for L in range(2, 7):
             lattice = make_lattice(L, regime, seed=3000 + L)
             worst = max(worst, f_basis.factorization_residual(lattice, regime))
-    ok = worst < 1e-10
-    report(3, "factorization", ok, f"max residual {worst:.2e}")
+            worst_dense = max(worst_dense, factorization_dense_residual(lattice, regime))
+    ok = worst < 1e-10 and worst_dense < 1e-10
+    report(3, "factorization", ok, f"probe {worst:.2e}, dense {worst_dense:.2e}")
 
 
 def test_criterion_04_f_matrix_elements_all_sectors():
@@ -111,6 +108,7 @@ def test_criterion_04_f_matrix_elements_all_sectors():
 
 
 def test_criterion_05_commutation_and_exchange():
+    # the weight routes and their dense oracles, worst of the two per identity
     worst_ab = worst_aa = 0.0
     for regime, _ in REGIMES:
         for L in range(2, 7):
@@ -119,12 +117,16 @@ def test_criterion_05_commutation_and_exchange():
             for _ in range(10):
                 t = vm.random_spectral_point(lattice, regime, rng)
                 t2 = vm.random_spectral_point(lattice, regime, rng)
-                af = f_basis.diagonal_a(t2, lattice, regime)
-                for i in range(1, L + 1):
-                    b_i = f_basis.site_creation(i, t, lattice, regime)
-                    scale = vm.c_weight(lattice.xi[i - 1] - t2, regime)
-                    worst_ab = max(worst_ab, tc.max_abs_diff(b_i @ af, scale * (af @ b_i)))
-            worst_aa = max(worst_aa, f_basis.exchange_residual(lattice, regime))
+                worst_ab = max(
+                    worst_ab,
+                    f_basis.commutation_residual(t, t2, lattice, regime),
+                    commutation_dense_residual(t, t2, lattice, regime),
+                )
+            worst_aa = max(
+                worst_aa,
+                f_basis.exchange_residual(lattice, regime),
+                exchange_dense_residual(lattice, regime),
+            )
     ok = worst_ab < 1e-10 and worst_aa < 1e-10
     report(5, "commutation+exchange", ok, f"commutation {worst_ab:.2e}, exchange {worst_aa:.2e}")
 

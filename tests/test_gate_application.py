@@ -66,11 +66,48 @@ def test_factorizer_matches_dense_product(L, regime):
     lattice = make_lattice(L, regime, seed=230 + L)
     orders = [tuple(range(1, L + 1))]
     if L > 1:
-        # sites 1 and 2 swapped, as factorization_residual builds it
+        # sites 1 and 2 swapped, as the factorization identity needs it
         orders.append((2, 1) + orders[0][2:])
     for order in orders:
         dense = dense_factorizer(order, lattice, regime)
         assert_close_to_dense(fb._factorizer_for_order(order, lattice, regime), dense)
+
+
+@pytest.mark.parametrize("L", LENGTHS)
+def test_apply_factorizer_matches_dense_product(L, regime):
+    # F and every adjacent-swap factorizer applied to the probe block, each
+    # against the dense product of its factors times the block
+    lattice = make_lattice(L, regime, seed=260 + L)
+    block = fb.probe_block(L)
+    identity_order = tuple(range(1, L + 1))
+    orders = [identity_order]
+    for site in range(1, L):
+        swapped = list(identity_order)
+        swapped[site - 1], swapped[site] = swapped[site], swapped[site - 1]
+        orders.append(tuple(swapped))
+    for order in orders:
+        dense = dense_factorizer(order, lattice, regime) @ block
+        assert_close_to_dense(fb.apply_factorizer(order, block, lattice, regime), dense)
+
+
+def test_left_gate_application_matches_dense_product():
+    # a generic gate, not symmetric: the S-matrix would not catch a missing
+    # transpose
+    L = 4
+    rng = np.random.default_rng(270)
+    gate = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    block = fb.probe_block(L)
+    for i in range(1, L + 1):
+        for j in range(1, L + 1):
+            if i != j:
+                dense = tc.embed_two_site(gate, i, j, L) @ block
+                assert_close_to_dense(fb._apply_gate_left(gate, i, j, block, L), dense)
+
+
+def test_probe_block_is_fixed():
+    block = fb.probe_block(3)
+    assert block.shape == (8, fb.PROBES) and np.array_equal(block, fb.probe_block(3))
+    assert np.all(block.imag != 0)
 
 
 @pytest.mark.parametrize("L", [n for n in LENGTHS if n > 1])

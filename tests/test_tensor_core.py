@@ -6,14 +6,41 @@ from hypothesis import strategies as st
 from sixvertex import tensor_core as tc
 
 
+# Independent bit helpers, written from the convention (site 1 = most
+# significant bit), that the oracles below index with.
+def encode_bits(bits) -> int:
+    """Index of an occupation bitstring (site 1 first)."""
+    index = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"occupation must be 0 or 1, got {b!r}")
+        index = (index << 1) | b
+    return index
+
+
+def decode_bits(index: int, n_sites: int) -> tuple[int, ...]:
+    """Occupation bitstring of a basis index, site 1 first."""
+    if not 0 <= index < (1 << n_sites):
+        raise ValueError(f"index {index} out of range for {n_sites} sites")
+    return tuple((index >> (n_sites - s)) & 1 for s in range(1, n_sites + 1))
+
+
+def occupation_count(index: int) -> int:
+    return bin(index).count("1")
+
+
+def occupied_sites(index: int, n_sites: int) -> tuple[int, ...]:
+    return tuple(s for s, b in enumerate(decode_bits(index, n_sites), start=1) if b)
+
+
 def embed_two_site_bruteforce(gate, site_i, site_j, n_sites):
     # Independent oracle: loop over all basis pairs, spectator bits must match.
     dim = 1 << n_sites
     out = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        cb = tc.decode_bits(col, n_sites)
+        cb = decode_bits(col, n_sites)
         for row in range(dim):
-            rb = tc.decode_bits(row, n_sites)
+            rb = decode_bits(row, n_sites)
             if any(
                 rb[s - 1] != cb[s - 1]
                 for s in range(1, n_sites + 1)
@@ -29,24 +56,24 @@ def embed_two_site_bruteforce(gate, site_i, site_j, n_sites):
 def test_roundtrip_exhaustive():
     for L in list(range(1, 9)) + [12]:
         for idx in range(1 << L):
-            bits = tc.decode_bits(idx, L)
-            assert tc.encode_bits(bits) == idx
-            assert sum(bits) == tc.occupation_count(idx)
+            bits = decode_bits(idx, L)
+            assert encode_bits(bits) == idx
+            assert sum(bits) == occupation_count(idx)
 
 
 @given(L=st.integers(1, 12), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_sampled(L, data):
     idx = data.draw(st.integers(0, (1 << L) - 1))
-    assert tc.encode_bits(tc.decode_bits(idx, L)) == idx
+    assert encode_bits(decode_bits(idx, L)) == idx
 
 
 def test_site_one_is_most_significant_bit():
     # |10> on two sites (site 1 occupied) must be index 2, not 1.
     assert tc.index_of_sites([1], 2) == 2
     assert tc.index_of_sites([2], 2) == 1
-    assert tc.occupied_sites(2, 2) == (1,)
-    assert tc.decode_bits(2, 2) == (1, 0)
+    assert occupied_sites(2, 2) == (1,)
+    assert decode_bits(2, 2) == (1, 0)
 
 
 def test_vacuum_examples():
@@ -133,3 +160,53 @@ def test_site_operator_rejects_out_of_range():
         tc.site_operator("number", 0, 2)
     with pytest.raises(ValueError):
         tc.site_operator("number", 3, 2)
+
+
+def test_site_occupations_and_index_follow_the_bit_helpers():
+    for L in (1, 3, 5):
+        bits = tc.site_occupations(L)
+        for idx in range(1 << L):
+            assert tuple(int(b[idx]) for b in bits) == decode_bits(idx, L)
+            assert tc.index_of_sites(occupied_sites(idx, L), L) == idx
+
+
+def test_flip_columns_pair_empty_and_occupied_states():
+    L = 4
+    for site in range(1, L + 1):
+        empty, occupied = tc.flip_columns(site, L)
+        assert len(empty) == 1 << (L - 1)
+        for x, y in zip(empty, occupied):
+            bx, by = list(decode_bits(int(x), L)), list(decode_bits(int(y), L))
+            assert bx[site - 1] == 0 and by[site - 1] == 1
+            bx[site - 1] = 1
+            assert bx == by
+    with pytest.raises(ValueError):
+        tc.flip_columns(0, L)
+
+
+@pytest.mark.parametrize("kind", ["raise", "lower"])
+def test_apply_site_flips_matches_dense_sum(kind):
+    rng = np.random.default_rng(11)
+    for L in (1, 2, 4, 6):
+        dim = 1 << L
+        weights = rng.normal(size=(L, dim)) + 1j * rng.normal(size=(L, dim))
+        block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        dense = sum(tc.site_operator(kind, s, L) * weights[s - 1] for s in range(1, L + 1))
+        assert tc.max_abs_diff(tc.apply_site_flips(kind, weights, block), dense @ block) < 1e-14
+
+
+def test_apply_site_flips_rejects_bad_arguments():
+    weights = np.ones((2, 4), dtype=complex)
+    with pytest.raises(ValueError):
+        tc.apply_site_flips("number", weights, np.ones((4, 1)))
+    with pytest.raises(ValueError):
+        tc.apply_site_flips("raise", weights, np.ones((8, 1)))
+    with pytest.raises(ValueError):
+        tc.apply_site_flips("raise", weights, np.ones(4))
+    with pytest.raises(ValueError):
+        tc.apply_site_flips("raise", np.ones((2, 8)), np.ones((4, 1)))
+
+
+def test_probe_residual_is_relative_to_the_larger_lhs():
+    assert tc.probe_residual([0.5, 0.0], [0.5, 1e-3]) == 1e-3
+    assert tc.probe_residual([100.0, 0.0], [100.0, 1.0]) == 0.01
