@@ -9,7 +9,7 @@ a sum/recurrence cross-check.
 
 from .bethe import BetheRoots, bae_residuals, eigenstate_residual, solve_bethe_roots
 from .config import RunConfig, load_config
-from .coordinate_wf import psi_formula, psi_oracle, wave_table
+from .coordinate_wf import psi_formula, wave_table
 from .dwbc import DwbcInput, dwbc_recurrence, dwbc_sum
 from .f_basis import FactorizingOperator, factorizing_operator
 from .verify import run_verify
@@ -31,7 +31,6 @@ __all__ = [
     "load_config",
     "monodromy_entries",
     "psi_formula",
-    "psi_oracle",
     "run_verify",
     "solve_bethe_roots",
     "wave_table",

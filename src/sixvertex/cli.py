@@ -63,8 +63,8 @@ def _cmd_dwbc(args) -> int:
     config = _load(args)
     regime = config.regime()
     m = args.m if args.m is not None else max(config.magnons, 1)
-    if m > config.perm_cap:
-        raise ConfigError(f"M={m} exceeds perm_cap={config.perm_cap}")
+    if not 0 <= m <= config.perm_cap:
+        raise ConfigError(f"M={m} must satisfy 0 <= M <= perm_cap={config.perm_cap}")
     rng = np.random.default_rng(config.seed)
     inp = dwbc_mod.random_input(m, regime, rng)
 

@@ -50,6 +50,8 @@ class RunConfig:
             raise ConfigError(f"M={self.magnons} must satisfy 0 <= M <= L={self.length}")
         if self.tolerance is not None and self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
+        if self.xi_spread is not None and not 0 < self.xi_spread < np.inf:
+            raise ConfigError(f"xi_spread must be finite and positive, got {self.xi_spread}")
         if self.xi is not None and len(self.xi) != self.length:
             raise ConfigError(
                 f"explicit xi list has {len(self.xi)} entries for L={self.length}"

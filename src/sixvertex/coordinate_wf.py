@@ -31,24 +31,16 @@ from .vertex_model import (
 RATIO_FLOOR_SCALE = 1e-12
 
 
-def validate_configuration(x, n_sites: int, ordered: bool = True) -> tuple[int, ...]:
-    """Check range and distinctness of an occupied-site configuration.
-
-    With ``ordered`` the sites must be strictly increasing (the sector the
-    permutation-sum formula lives in); otherwise any distinct order is
-    accepted and returned sorted.
-    """
+def validate_configuration(x, n_sites: int) -> tuple[int, ...]:
+    """Check that an occupied-site configuration lies in 1..n_sites and is
+    strictly increasing: the sector the permutation-sum formula lives in."""
     x = tuple(int(v) for v in x)
     for v in x:
         if not 1 <= v <= n_sites:
             raise ValueError(f"site {v} out of range 1..{n_sites}")
-    if ordered:
-        if any(a >= b for a, b in zip(x, x[1:])):
-            raise ValueError(f"configuration must be strictly increasing, got {x}")
-        return x
-    if len(set(x)) != len(x):
-        raise ValueError(f"occupied sites must be distinct, got {x}")
-    return tuple(sorted(x))
+    if any(a >= b for a, b in zip(x, x[1:])):
+        raise ValueError(f"configuration must be strictly increasing, got {x}")
+    return x
 
 
 def configurations(n_sites: int, n_particles: int):
@@ -109,18 +101,6 @@ def psi_formula(
             term *= table[slot][perm[slot]]
         total += term
     return total
-
-
-def psi_oracle(x, q, lattice: LatticeSpec, regime: Regime) -> complex:
-    """Brute-force amplitude <x_1..x_M| B(q_1)...B(q_M) |0>.
-
-    Built entirely from dense monodromy blocks; shares no code with the
-    permutation-sum formula.  Accepts coordinates in any (distinct) order,
-    since the bra only depends on the occupied set.
-    """
-    x = validate_configuration(x, lattice.length, ordered=False)
-    vec = bethe_vector(q, lattice, regime)
-    return complex(vec[index_of_sites(x, lattice.length)])
 
 
 @dataclass

@@ -55,22 +55,6 @@ class DwbcInput:
         return len(self.q)
 
 
-def dwbc_term(perm, inp: DwbcInput) -> complex:
-    """Single permutation term.
-
-    prod_i b(mu_i - q_{P i}) * prod_{i > j} c(mu_i - q_{P j})
-    / prod_{i > j} c(q_{P i} - q_{P j}).
-    """
-    mu, q, regime = inp.mu, inp.q, inp.regime
-    out = 1.0 + 0.0j
-    for i in range(inp.size):
-        out *= b_weight(mu[i] - q[perm[i]], regime)
-        for j in range(i):
-            out *= c_weight(mu[i] - q[perm[j]], regime)
-            out /= c_weight(q[perm[i]] - q[perm[j]], regime)
-    return out
-
-
 def dwbc_sum(inp: DwbcInput, cap: int = PERMUTATION_CAP) -> complex:
     """Sum of all M! permutation terms, evaluated with gathered weight tables."""
     m = inp.size

@@ -54,11 +54,10 @@ PROBE_SEED = 1977
 
 @dataclass(frozen=True)
 class FactorizingOperator:
-    """Factorizing operator, its (numerically computed) inverse, and the
-    1-norm condition estimate of the pair."""
+    """Factorizing operator and the 1-norm condition estimate of F with its
+    numerically computed inverse."""
 
     f: np.ndarray
-    f_inv: np.ndarray
     cond1: float
 
 
@@ -69,18 +68,6 @@ def probe_block(n_sites: int) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def s_tail_product(site: int, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
-    """Ordered product of S-matrices coupling ``site`` to every later site.
-
-    Factor k carries spectral arguments (xi_k, xi_site); the last site gives
-    the empty product, i.e. the identity.
-    """
-    L = lattice.length
-    if not 1 <= site <= L:
-        raise ValueError(f"site {site} out of range 1..{L}")
-    return _tail_product_for_order(tuple(range(1, L + 1)), site - 1, lattice, regime)
-
-
 def _tail_gates(order, pos, lattice, regime):
     # order: site labels in build order; pos: index into order.  The tail
     # is the product of these (gate, site, site) factors, left to right.
@@ -89,35 +76,15 @@ def _tail_gates(order, pos, lattice, regime):
         yield s_matrix(lattice.xi[later - 1], lattice.xi[n - 1], regime), later, n
 
 
-def _tail_product_for_order(order, pos, lattice, regime):
-    L = lattice.length
-    out = identity_operator(L)
-    for gate, site_i, site_j in _tail_gates(order, pos, lattice, regime):
-        out = apply_two_site(out, gate, site_i, site_j, L)
-    return out
-
-
 def _apply_gate_left(gate, site_i, site_j, block, n_sites):
     # embed(g) @ block = (block^T @ embed(g^T))^T: the gate's embedding
     # transposes to the embedding of its transpose.
     return apply_two_site(block.T, gate.T, site_i, site_j, n_sites).T
 
 
-def _factorizer_for_order(order, lattice, regime):
-    # Each factor is the identity on the columns where its site is empty and
-    # the tail product on the others, so only the occupied columns change.
-    L = lattice.length
-    bits = site_occupations(L)
-    out = identity_operator(L)
-    for pos, site in enumerate(order):
-        occupied = bits[site - 1] == 1
-        tail = _tail_product_for_order(order, pos, lattice, regime)
-        out[:, occupied] = tail[:, occupied] if pos == 0 else out @ tail[:, occupied]
-    return out
-
-
 def apply_factorizer(order, block, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
-    """F·block for the factorizer built in ``order``, without building F.
+    """F·block for the factorizer built in ``order``; on the identity it
+    gives the dense F.
 
     Factors act last first.  A factor keeps the rows where its site is empty
     and applies its tail gates, last first, to the rows where it is occupied.
@@ -135,20 +102,20 @@ def apply_factorizer(order, block, lattice: LatticeSpec, regime: Regime) -> np.n
 
 
 def factorizing_operator(lattice: LatticeSpec, regime: Regime) -> FactorizingOperator:
-    """Build the factorizing operator and invert it numerically.
+    """Build the dense factorizing operator and estimate its conditioning.
 
-    No closed form for the inverse is used; plain matrix inversion is cheap
-    at desk scale.  A 1-norm condition estimate above 1e12 is rejected as a
-    degenerate parameter configuration.
+    F is ``apply_factorizer`` on the identity.  The 1-norm condition estimate
+    uses a plain numerical inverse, cheap at desk scale; an estimate above
+    1e12 is rejected as a degenerate parameter configuration.
     """
-    f = _factorizer_for_order(tuple(range(1, lattice.length + 1)), lattice, regime)
-    f_inv = np.linalg.inv(f)
-    cond = np.linalg.norm(f, 1) * np.linalg.norm(f_inv, 1)
+    L = lattice.length
+    f = apply_factorizer(tuple(range(1, L + 1)), identity_operator(L), lattice, regime)
+    cond = np.linalg.norm(f, 1) * np.linalg.norm(np.linalg.inv(f), 1)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DegenerateParametersError(
             f"factorizing operator ill conditioned (estimate {cond:.3e})"
         )
-    return FactorizingOperator(f=f, f_inv=f_inv, cond1=float(cond))
+    return FactorizingOperator(f=f, cond1=float(cond))
 
 
 def transposition_gate(site: int, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
@@ -340,7 +307,7 @@ def f_matrix_element_residual(lattice: LatticeSpec, regime: Regime) -> float:
     sector; rows outside the M-particle sector vanish on both sides.
     """
     L = lattice.length
-    f = _factorizer_for_order(tuple(range(1, L + 1)), lattice, regime)
+    f = apply_factorizer(tuple(range(1, L + 1)), identity_operator(L), lattice, regime)
     b_ops = {n: monodromy_entries(lattice.xi[n - 1], lattice, regime).b for n in range(1, L + 1)}
     # Subsets run in increasing size, so the vector of (n_2 < ... < n_M) is
     # ready when (n_1 < n_2 < ... < n_M) needs it.

@@ -70,15 +70,17 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
+def _guarded(a, b, regime):
+    """Both S(a, b) and S(b, a) keep |phi(. + eta)| above PAIR_GUARD."""
+    return all(abs(regime.phi(d + regime.eta)) > PAIR_GUARD for d in (a - b, b - a))
+
+
 def _draw_pair(rng, regime):
     spread = PAIR_SPREAD
     while True:
         t1 = complex(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
         t2 = complex(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
-        if (
-            abs(regime.phi(t1 - t2 + regime.eta)) > PAIR_GUARD
-            and abs(regime.phi(t2 - t1 + regime.eta)) > PAIR_GUARD
-        ):
+        if _guarded(t1, t2, regime):
             return t1, t2
 
 
@@ -102,12 +104,7 @@ def _check_yang_baxter(ctx):
     for _ in range(draws):
         t1, t2 = _draw_pair(rng, regime)
         _, t3 = _draw_pair(rng, regime)
-        if (
-            abs(regime.phi(t1 - t3 + regime.eta)) < PAIR_GUARD
-            or abs(regime.phi(t3 - t1 + regime.eta)) < PAIR_GUARD
-            or abs(regime.phi(t2 - t3 + regime.eta)) < PAIR_GUARD
-            or abs(regime.phi(t3 - t2 + regime.eta)) < PAIR_GUARD
-        ):
+        if not (_guarded(t1, t3, regime) and _guarded(t2, t3, regime)):
             continue
         s12 = tc.embed_two_site(vm.s_matrix(t1, t2, regime), 1, 2, 3)
         s13 = tc.embed_two_site(vm.s_matrix(t1, t3, regime), 1, 3, 3)

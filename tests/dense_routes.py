@@ -2,9 +2,10 @@
 
 The library checks the closed forms on their weight data and the identities
 that involve F on random probe vectors.  Here each closed form is rebuilt as
-a dense 2^L x 2^L matrix from that weight data, and each identity is
-measured as the max-abs entrywise difference of dense operator products, as
-the library did before.  For L <= 8 both routes must stay under the same
+a dense 2^L x 2^L matrix from that weight data, the factorizer as the
+product of dense ``embed_two_site`` matrices, and each identity is measured
+as the max-abs entrywise difference of dense operator products, as the
+library did before.  For L <= 8 both routes must stay under the same
 tolerance.
 """
 
@@ -13,6 +14,48 @@ import numpy as np
 from sixvertex import f_basis as fb
 from sixvertex import tensor_core as tc
 from sixvertex import vertex_model as vm
+
+
+def assert_close_to_dense(got, dense):
+    """The gate routes agree with a dense product to 1e-14 of its scale."""
+    bound = 1e-14 * max(1.0, float(np.max(np.abs(dense))))
+    assert tc.max_abs_diff(got, dense) <= bound
+
+
+def dense_tail(order, pos, lattice, regime):
+    """Product of the dense S-matrix embeddings coupling site order[pos] to
+    every later site of ``order``."""
+    L, n = lattice.length, order[pos]
+    out = tc.identity_operator(L)
+    for later in order[pos + 1 :]:
+        gate = vm.s_matrix(lattice.xi[later - 1], lattice.xi[n - 1], regime)
+        out = out @ tc.embed_two_site(gate, later, n, L)
+    return out
+
+
+def dense_factorizer(order, lattice, regime):
+    """prod over ``order`` of (1 - n_site) + tail · n_site, densely."""
+    L = lattice.length
+    out = tc.identity_operator(L)
+    for pos, site in enumerate(order):
+        number = tc.site_operator("number", site, L)
+        tail = dense_tail(order, pos, lattice, regime)
+        out = out @ ((tc.identity_operator(L) - number) + tail @ number)
+    return out
+
+
+def tail_columns(f, site):
+    """(F e_{x|site}, raise_site F e_x) over every x with sites 1..site empty.
+
+    On such columns the factors after ``site`` leave sites 1..site empty and
+    the factors before it act as the identity, so the tail of ``site`` (in
+    the identity order) maps the second block onto the first.
+    """
+    L = f.shape[0].bit_length() - 1
+    bits = tc.site_occupations(L)
+    x = np.flatnonzero(np.all([bits[k] == 0 for k in range(site)], axis=0))
+    raised = x | tc.index_of_sites((site,), L)
+    return f[:, raised], tc.site_operator("raise", site, L) @ f[:, x]
 
 
 def dense_flip_sum(kind, weights):
@@ -39,7 +82,7 @@ def dense_creation(site, t, lattice, regime):
 
 
 def conjugated(op, factorizer):
-    return factorizer.f_inv @ op @ factorizer.f
+    return np.linalg.inv(factorizer.f) @ op @ factorizer.f
 
 
 def closed_forms_dense_residual(fac, t, lattice, regime):
@@ -57,12 +100,12 @@ def factorization_dense_residual(lattice, regime):
     with the S-matrix embedded densely and multiplied from the left."""
     L = lattice.length
     identity_order = tuple(range(1, L + 1))
-    f = fb._factorizer_for_order(identity_order, lattice, regime)
+    f = dense_factorizer(identity_order, lattice, regime)
     worst = 0.0
     for site in range(1, L):
         swapped = list(identity_order)
         swapped[site - 1], swapped[site] = swapped[site], swapped[site - 1]
-        f_swapped = fb._factorizer_for_order(tuple(swapped), lattice, regime)
+        f_swapped = dense_factorizer(tuple(swapped), lattice, regime)
         gate = tc.embed_two_site(fb.transposition_gate(site, lattice, regime), site + 1, site, L)
         worst = max(worst, tc.max_abs_diff(f, gate @ f_swapped))
     return worst

@@ -293,6 +293,27 @@ def test_cli_dwbc_runs(capsys):
     assert f"row-permutation symmetry defect (measured): {sym:.3e}\n" in captured
 
 
+@pytest.mark.parametrize("spread", ["-1.5", "0", "nan", "inf"])
+def test_cli_rejects_bad_xi_spread(tmp_path, capsys, spread):
+    # -1.5 used to reach numpy's uniform draw, 0 to spend every lattice draw
+    path = tmp_path / "run.cfg"
+    path.write_text(f"xi_spread: {spread}\n")
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--output-dir", str(out_dir)]) == 2
+    assert "xi_spread must be finite and positive" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_dwbc_rejects_negative_size(capsys):
+    assert main(["dwbc", "--m", "-1"]) == 2
+    assert "M=-1 must satisfy 0 <= M" in capsys.readouterr().err
+
+
+def test_cli_dwbc_empty_size(capsys):
+    assert main(["dwbc", "--m", "0"]) == 0
+    assert "permutation sum : (1+0j)" in capsys.readouterr().out
+
+
 def test_run_wavefunction_zero_particles(tmp_path):
     cfg = RunConfig(length=2, magnons=0, xi=(0.0, 0.0))
     roots_path = tmp_path / "roots.txt"

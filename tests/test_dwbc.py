@@ -13,6 +13,22 @@ from sixvertex.errors import SizeCapError
 from conftest import RATIONAL, TRIG
 
 
+def dwbc_term(perm, inp):
+    """Single permutation term, the reference for ``dwbc_sum``:
+
+    prod_i b(mu_i - q_{P i}) * prod_{i > j} c(mu_i - q_{P j})
+    / prod_{i > j} c(q_{P i} - q_{P j}).
+    """
+    mu, q, regime = inp.mu, inp.q, inp.regime
+    out = 1.0 + 0.0j
+    for i in range(inp.size):
+        out *= vm.b_weight(mu[i] - q[perm[i]], regime)
+        for j in range(i):
+            out *= vm.c_weight(mu[i] - q[perm[j]], regime)
+            out /= vm.c_weight(q[perm[i]] - q[perm[j]], regime)
+    return out
+
+
 def random_input(m, regime, seed):
     return dwbc.random_input(m, regime, np.random.default_rng(seed))
 
@@ -20,7 +36,7 @@ def random_input(m, regime, seed):
 def test_single_row(regime):
     inp = dwbc.DwbcInput((0.3 + 0.1j,), (-0.2 + 0.4j,), regime)
     want = vm.b_weight(inp.mu[0] - inp.q[0], regime)
-    assert abs(dwbc.dwbc_term((0,), inp) - want) < 1e-15
+    assert abs(dwbc_term((0,), inp) - want) < 1e-15
     assert abs(dwbc.dwbc_sum(inp) - want) < 1e-15
     assert abs(dwbc.dwbc_recurrence(inp) - want) < 1e-15
 
@@ -34,13 +50,13 @@ def test_two_rows_identity_permutation_term(regime):
         * vm.c_weight(mu[1] - q[0], regime)
         / vm.c_weight(q[1] - q[0], regime)
     )
-    assert abs(dwbc.dwbc_term((0, 1), inp) - want) < 1e-14
+    assert abs(dwbc_term((0, 1), inp) - want) < 1e-14
 
 
 def test_sum_equals_sum_of_terms(regime):
     for m in (2, 3, 4):
         inp = random_input(m, regime, seed=10 + m)
-        direct = sum(dwbc.dwbc_term(p, inp) for p in permutations(range(m)))
+        direct = sum(dwbc_term(p, inp) for p in permutations(range(m)))
         fast = dwbc.dwbc_sum(inp)
         assert abs(direct - fast) <= 1e-12 * max(1.0, abs(direct))
 

@@ -12,37 +12,44 @@ from sixvertex.verify import run_verify
 
 from conftest import RATIONAL, TRIG, make_lattice
 from dense_routes import (
+    assert_close_to_dense,
     closed_forms_dense_residual,
     commutation_dense_residual,
     conjugated,
     dense_a,
     dense_b,
     dense_creation,
+    dense_factorizer,
     dense_flip_sum,
     exchange_dense_residual,
     factorization_dense_residual,
+    tail_columns,
 )
 
 
 def test_tail_product_last_site_is_identity(regime):
     lattice = make_lattice(3, regime, seed=1)
-    assert tc.max_abs_diff(fb.s_tail_product(3, lattice, regime), np.eye(8)) == 0.0
+    got, before_tail = tail_columns(fb.factorizing_operator(lattice, regime).f, 3)
+    assert np.array_equal(got, before_tail)
 
 
 def test_tail_product_single_factor(regime):
     lattice = make_lattice(2, regime, seed=2)
-    got = fb.s_tail_product(1, lattice, regime)
     gate = vm.s_matrix(lattice.xi[1], lattice.xi[0], regime)
-    assert tc.max_abs_diff(got, tc.embed_two_site(gate, 2, 1, 2)) < 1e-15
+    number = tc.site_operator("number", 1, 2)
+    want = (np.eye(4) - number) + tc.embed_two_site(gate, 2, 1, 2) @ number
+    assert tc.max_abs_diff(fb.factorizing_operator(lattice, regime).f, want) < 1e-15
 
 
 def test_tail_product_coinciding_arguments_gives_permutation(regime):
     xi = (0.25 + 0.1j, 0.25 + 0.1j, -0.3)
     lattice = vm.LatticeSpec(3, xi)
-    got = fb.s_tail_product(1, lattice, regime)
+    # F is singular here, so it is built without the condition guard
+    f = fb.apply_factorizer((1, 2, 3), tc.identity_operator(3), lattice, regime)
+    got, before_tail = tail_columns(f, 1)
     first = tc.embed_two_site(tc.PERMUTATION_GATE, 2, 1, 3)
     second = tc.embed_two_site(vm.s_matrix(xi[2], xi[0], regime), 3, 1, 3)
-    assert tc.max_abs_diff(got, first @ second) < 1e-14
+    assert tc.max_abs_diff(got, first @ second @ before_tail) < 1e-14
 
 
 def test_factorizer_single_site_is_identity(regime):
@@ -57,7 +64,7 @@ def test_factorizer_fixes_vacuum(regime):
         fac = fb.factorizing_operator(lattice, regime)
         vac = tc.vacuum_state(L)
         assert tc.max_abs_diff(fac.f @ vac, vac) < 1e-12
-        assert tc.max_abs_diff(fac.f @ fac.f_inv, np.eye(1 << L)) < 1e-10
+        assert tc.max_abs_diff(fac.f @ np.linalg.inv(fac.f), np.eye(1 << L)) < 1e-10
 
 
 def test_factorization_identity_two_sites(regime):
@@ -182,25 +189,27 @@ def test_condition_guard_rejects(monkeypatch, regime):
 
 def test_verify_builds_each_factorizer_once_per_check(monkeypatch, regime):
     # f_matrix_elements and f_closed_forms each build the identity-order
-    # factorizer once, f_factorization applies the factorizers to probe
-    # vectors and builds none, and only f_closed_forms inverts F.
+    # factorizer once, by applying it to the identity; f_factorization
+    # applies the factorizers only to probe vectors, and only f_closed_forms
+    # inverts F.
     L = 6
-    identity_order = tuple(range(1, L + 1))
-    orders, inverses = [], []
-    build, invert = fb._factorizer_for_order, np.linalg.inv
+    dim = 1 << L
+    builds, inverses = [], []
+    apply, invert = fb.apply_factorizer, np.linalg.inv
 
-    def counted_build(order, lattice, regime):
-        orders.append(tuple(order))
-        return build(order, lattice, regime)
+    def counted_apply(order, block, lattice, regime):
+        if np.shape(block)[1] == dim:
+            builds.append(tuple(order))
+        return apply(order, block, lattice, regime)
 
     def counted_inv(*args, **kwargs):
         inverses.append(args[0].shape)
         return invert(*args, **kwargs)
 
-    monkeypatch.setattr(fb, "_factorizer_for_order", counted_build)
+    monkeypatch.setattr(fb, "apply_factorizer", counted_apply)
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     run_verify(RunConfig(family=regime.family, eta=regime.eta, length=L, magnons=L // 2))
-    assert orders == [identity_order, identity_order]
+    assert builds == [tuple(range(1, L + 1))] * 2
     assert len(inverses) == 1
 
 
@@ -219,7 +228,8 @@ def _dense_flip(kind, site, t, lattice, regime, occupied, empty):
 def test_broadcast_flips_and_factorizer_equal_dense_products(L, regime):
     # The dense closed forms rebuilt from the weight data, each flip scaled
     # by broadcasting, must equal the dense matmul routes exactly: scaling a
-    # 0/1 operator adds only exact zeros.  The same holds for the factorizer.
+    # 0/1 operator adds only exact zeros.  F, applied to the identity gate by
+    # gate, agrees with the dense product of its factors to rounding.
     lattice = make_lattice(L, regime, seed=130 + L)
     xi = lattice.xi
     t = vm.random_spectral_point(lattice, regime, np.random.default_rng(140 + L))
@@ -245,12 +255,8 @@ def test_broadcast_flips_and_factorizer_equal_dense_products(L, regime):
         want_a = want_a * np.where(bits == 1, 1.0, c(xi[k] - t, regime))
     assert np.array_equal(dense_a(t, lattice, regime), np.diag(want_a))
 
-    dense_f = tc.identity_operator(L)
-    for s in range(1, L + 1):
-        number = tc.site_operator("number", s, L)
-        tail = fb.s_tail_product(s, lattice, regime)
-        dense_f = dense_f @ ((tc.identity_operator(L) - number) + tail @ number)
-    assert np.array_equal(fb.factorizing_operator(lattice, regime).f, dense_f)
+    dense_f = dense_factorizer(tuple(range(1, L + 1)), lattice, regime)
+    assert_close_to_dense(fb.factorizing_operator(lattice, regime).f, dense_f)
 
 
 def _routes(lattice, regime, rng):

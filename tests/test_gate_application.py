@@ -1,8 +1,8 @@
 """Gate application against the dense embedding oracle.
 
-The monodromy, the tail products and the factorizer are built by applying
-4x4 gates; here each is compared with the product of dense
-``embed_two_site`` matrices it replaces.
+The monodromy and the factorizer are built by applying 4x4 gates; here each
+is compared with the product of dense ``embed_two_site`` matrices it
+replaces.
 """
 
 import numpy as np
@@ -13,32 +13,9 @@ from sixvertex import tensor_core as tc
 from sixvertex import vertex_model as vm
 
 from conftest import make_lattice
+from dense_routes import assert_close_to_dense, dense_factorizer, dense_tail, tail_columns
 
 LENGTHS = range(1, 7)
-
-
-def assert_close_to_dense(got, dense):
-    bound = 1e-14 * max(1.0, float(np.max(np.abs(dense))))
-    assert tc.max_abs_diff(got, dense) <= bound
-
-
-def dense_tail(order, pos, lattice, regime):
-    L, n = lattice.length, order[pos]
-    out = tc.identity_operator(L)
-    for later in order[pos + 1 :]:
-        gate = vm.s_matrix(lattice.xi[later - 1], lattice.xi[n - 1], regime)
-        out = out @ tc.embed_two_site(gate, later, n, L)
-    return out
-
-
-def dense_factorizer(order, lattice, regime):
-    L = lattice.length
-    out = tc.identity_operator(L)
-    for pos, site in enumerate(order):
-        number = tc.site_operator("number", site, L)
-        tail = dense_tail(order, pos, lattice, regime)
-        out = out @ ((tc.identity_operator(L) - number) + tail @ number)
-    return out
 
 
 @pytest.mark.parametrize("L", LENGTHS)
@@ -54,11 +31,13 @@ def test_monodromy_matches_dense_product(L, regime):
 
 @pytest.mark.parametrize("L", LENGTHS)
 def test_tail_products_match_dense_products(L, regime):
+    # each site's tail, as it acts inside F built on the identity
     lattice = make_lattice(L, regime, seed=220 + L)
     order = tuple(range(1, L + 1))
+    f = fb.apply_factorizer(order, tc.identity_operator(L), lattice, regime)
     for site in order:
-        dense = dense_tail(order, site - 1, lattice, regime)
-        assert_close_to_dense(fb.s_tail_product(site, lattice, regime), dense)
+        got, before_tail = tail_columns(f, site)
+        assert_close_to_dense(got, dense_tail(order, site - 1, lattice, regime) @ before_tail)
 
 
 @pytest.mark.parametrize("L", LENGTHS)
@@ -70,7 +49,8 @@ def test_factorizer_matches_dense_product(L, regime):
         orders.append((2, 1) + orders[0][2:])
     for order in orders:
         dense = dense_factorizer(order, lattice, regime)
-        assert_close_to_dense(fb._factorizer_for_order(order, lattice, regime), dense)
+        got = fb.apply_factorizer(order, tc.identity_operator(L), lattice, regime)
+        assert_close_to_dense(got, dense)
 
 
 @pytest.mark.parametrize("L", LENGTHS)
@@ -149,5 +129,5 @@ def test_hot_path_builds_no_dense_embedding(monkeypatch, regime):
     L = 6
     lattice = make_lattice(L, regime, seed=250)
     vm.monodromy_matrix(0.3 + 0.1j, lattice, regime)
-    fb._factorizer_for_order(tuple(range(1, L + 1)), lattice, regime)
+    fb.factorizing_operator(lattice, regime)
     assert calls == []

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sixvertex import tensor_core as tc
@@ -94,7 +94,10 @@ def test_s_matrix_at_equal_arguments_is_permutation(regime):
     assert tc.max_abs_diff(s, tc.PERMUTATION_GATE) < 1e-15
 
 
+# Near a pole the weights reach 1e5-1e6 and rounding alone exceeds an
+# absolute 1e-11, so both residuals are relative to the size of the terms.
 @given(t1=complex_box, t2=complex_box)
+@example(t1=-1 + 1e-6, t2=0.0)
 @settings(max_examples=60, deadline=None)
 def test_unitarity_property(t1, t2):
     for regime in (RATIONAL, TRIG):
@@ -103,10 +106,14 @@ def test_unitarity_property(t1, t2):
             s21 = vm.s_matrix(t2, t1, regime)
         except SingularWeightError:
             continue
-        assert tc.max_abs_diff(s12 @ s21, np.eye(4)) < 1e-11
+        # s12 @ s21 is the identity, so its own size says nothing: the scale
+        # is that of the products it sums
+        scale = max(1.0, float(np.max(np.abs(s12)) * np.max(np.abs(s21))))
+        assert tc.max_abs_diff(s12 @ s21, np.eye(4)) / scale < 1e-11
 
 
 @given(t1=complex_box, t2=complex_box, t3=complex_box)
+@example(t1=0.5j, t2=-0.99999, t3=0.0)
 @settings(max_examples=60, deadline=None)
 def test_yang_baxter_property(t1, t2, t3):
     for regime in (RATIONAL, TRIG):
@@ -120,7 +127,7 @@ def yang_baxter_residual(t1, t2, t3, regime):
         s23 = tc.embed_two_site(vm.s_matrix(t2, t3, regime), 2, 3, 3)
     except SingularWeightError:
         return 0.0
-    return tc.max_abs_diff(s12 @ s13 @ s23, s23 @ s13 @ s12)
+    return tc.probe_residual(s12 @ s13 @ s23, s23 @ s13 @ s12)
 
 
 def test_monodromy_single_site(regime):
