@@ -21,8 +21,6 @@ from .errors import (
     DegenerateRootsError,
     DegenerateStateError,
     ProvenanceError,
-    RootCollisionError,
-    SingularWeightError,
     SolverFailureError,
 )
 from .tensor_core import vacuum_state
@@ -88,68 +86,72 @@ def _require_separated(q, regime: Regime):
                 )
 
 
+def _pair_table(weight, q, regime: Regime) -> list[list]:
+    # weight(q_i - q_a) for every ordered pair i != a, each evaluated once
+    m = len(q)
+    table = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for a in range(m):
+            if a != i:
+                table[i][a] = weight(q[i] - q[a], regime)
+    return table
+
+
 def bae_residuals(q, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
     """Per-root residual |a(q_i) - prod_{a != i} c(q_a - q_i) / c(q_i - q_a)|."""
     q = tuple(complex(v) for v in q)
     if not q:
         return np.zeros(0)
     _require_separated(q, regime)
+    c = _pair_table(c_weight, q, regime)
     out = np.empty(len(q))
     for i, qi in enumerate(q):
         rhs = 1.0 + 0.0j
-        for alpha, qa in enumerate(q):
-            if alpha == i:
-                continue
-            rhs *= c_weight(qa - qi, regime) / c_weight(qi - qa, regime)
+        for a in range(len(q)):
+            if a != i:
+                rhs *= c[a][i] / c[i][a]
         out[i] = abs(vacuum_eigenvalue(qi, lattice, regime) - rhs)
     return out
 
 
-def _log_ratio(q, lattice, regime):
-    # log of a(q_i) * prod_{a != i} c(q_i - q_a) / c(q_a - q_i), principal branch
-    out = np.empty(len(q), dtype=complex)
-    for i, qi in enumerate(q):
-        ratio = vacuum_eigenvalue(qi, lattice, regime)
-        for alpha, qa in enumerate(q):
-            if alpha == i:
-                continue
-            ratio *= c_weight(qi - qa, regime) / c_weight(qa - qi, regime)
-        out[i] = cmath.log(ratio)
-    return out
+def _newton_system(q, lattice, regime):
+    """Log-ratio r and its Jacobian (the Gaudin matrix) at the iterate q.
 
-
-def _log_ratio_jacobian(q, lattice, regime):
+    r_i is the principal log of a(q_i) * prod_{a != i} c(q_i - q_a) / c(q_a - q_i).
+    """
     m = len(q)
+    c = _pair_table(c_weight, q, regime)
+    dlog_c = _pair_table(log_c_derivative, q, regime)
+    r = np.empty(m, dtype=complex)
     jac = np.zeros((m, m), dtype=complex)
     for i, qi in enumerate(q):
+        ratio = vacuum_eigenvalue(qi, lattice, regime)
         diag = -sum(log_c_derivative(x - qi, regime) for x in lattice.xi)
-        for alpha, qa in enumerate(q):
-            if alpha == i:
+        for a in range(m):
+            if a == i:
                 continue
-            pair = log_c_derivative(qi - qa, regime) + log_c_derivative(qa - qi, regime)
+            ratio *= c[i][a] / c[a][i]
+            pair = dlog_c[i][a] + dlog_c[a][i]
             diag += pair
-            jac[i, alpha] = -pair
+            jac[i, a] = -pair
+        r[i] = cmath.log(ratio)
         jac[i, i] = diag
-    return jac
-
-
-_ATTEMPT_ERRORS = (DegenerateRootsError, SingularWeightError, ValueError, np.linalg.LinAlgError)
+    return r, jac
 
 
 def _newton(q0, lattice, regime, tol):
     q = np.asarray(q0, dtype=complex).copy()
-    for _ in range(MAX_NEWTON_ITER):
+    for iteration in range(MAX_NEWTON_ITER + 1):
+        # A colliding or singular iterate (DegenerateRootsError,
+        # SingularWeightError, LinAlgError, log of zero: all ValueErrors)
+        # fails the attempt.
         try:
             res = float(np.max(bae_residuals(q, lattice, regime)))
-        except _ATTEMPT_ERRORS:
-            return q, np.inf, False
-        if res < tol:
-            return q, res, True
-        try:
-            r = _log_ratio(q, lattice, regime)
-            jac = _log_ratio_jacobian(q, lattice, regime)
+            if res < tol or iteration == MAX_NEWTON_ITER:
+                return q, res, res < tol
+            r, jac = _newton_system(q, lattice, regime)
             step = np.linalg.solve(jac, -r)
-        except _ATTEMPT_ERRORS:
+        except ValueError:
             return q, np.inf, False
         if not np.all(np.isfinite(step)):
             return q, np.inf, False
@@ -158,11 +160,6 @@ def _newton(q0, lattice, regime, tol):
         if scale > 1.0:
             step = step / scale
         q = q + step
-    try:
-        res = float(np.max(bae_residuals(q, lattice, regime)))
-    except _ATTEMPT_ERRORS:
-        res = np.inf
-    return q, res, res < tol
 
 
 def _decoupled_seed(branch: int, n_sites: int, center: complex, regime: Regime) -> complex:
@@ -191,8 +188,9 @@ def solve_bethe_roots(
     Strategy: converge at the homogeneous point (all inhomogeneities at
     their mean) starting from decoupled single-root seeds on distinct
     branches, then deform the inhomogeneities toward the target along an
-    adaptive homotopy, re-converging Newton at every leg.  Collisions along
-    the path and non-convergence are reported with a trace.
+    adaptive homotopy, re-converging Newton at every leg.  A leg whose Newton
+    run does not converge, or meets colliding roots or a singular weight, is
+    halved; a stall raises SolverFailureError with the trace.
 
     Only regular finite-root solutions are searched for.  Sectors whose
     eigenvectors require roots at infinity (e.g. beyond half filling in the
@@ -225,11 +223,6 @@ def solve_bethe_roots(
                 continue
             q, res, ok = _newton(q0, lattice=homogeneous, regime=regime, tol=tol)
             if ok:
-                try:
-                    _require_separated(q, regime)
-                except DegenerateRootsError:
-                    trace.append(f"branches {branches}: converged to colliding roots")
-                    continue
                 q_start = q
                 trace.append(f"homogeneous solve ok from branches {branches} (res {res:.2e})")
                 break
@@ -253,12 +246,6 @@ def solve_bethe_roots(
         leg_lattice = LatticeSpec(L, xi_next)
         q_next, res, ok = _newton(q, lattice=leg_lattice, regime=regime, tol=tol)
         if ok:
-            try:
-                _require_separated(q_next, regime)
-            except DegenerateRootsError as exc:
-                raise RootCollisionError(
-                    f"roots collided at homotopy parameter {s + h:.4f}: {exc}"
-                ) from exc
             q = q_next
             s += h
             h *= 1.7

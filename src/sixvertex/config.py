@@ -46,8 +46,9 @@ class RunConfig:
             raise ConfigError(f"regime must be one of {FAMILIES}, got {self.family!r}")
         if self.length < 1:
             raise ConfigError("L must be at least 1")
-        if not 0 <= self.magnons <= self.length:
-            raise ConfigError(f"M={self.magnons} must satisfy 0 <= M <= L={self.length}")
+        # The solver seeds M roots on distinct branches 1 .. L-1, so M = L has none.
+        if not 0 <= self.magnons < self.length:
+            raise ConfigError(f"M={self.magnons} must satisfy 0 <= M < L={self.length}")
         if self.tolerance is not None and self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
         if self.xi_spread is not None and not 0 < self.xi_spread < np.inf:

@@ -13,10 +13,6 @@ class DegenerateRootsError(ValueError):
     """Two spectral roots coincide within the separation tolerance."""
 
 
-class RootCollisionError(RuntimeError):
-    """Roots collided while being deformed along the homotopy path."""
-
-
 class SolverFailureError(RuntimeError):
     """Root solver did not converge within its iteration budget."""
 

@@ -110,7 +110,10 @@ def factorizing_operator(lattice: LatticeSpec, regime: Regime) -> FactorizingOpe
     """
     L = lattice.length
     f = apply_factorizer(tuple(range(1, L + 1)), identity_operator(L), lattice, regime)
-    cond = np.linalg.norm(f, 1) * np.linalg.norm(np.linalg.inv(f), 1)
+    try:
+        cond = np.linalg.norm(f, 1) * np.linalg.norm(np.linalg.inv(f), 1)
+    except np.linalg.LinAlgError:  # exactly singular
+        cond = np.inf
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DegenerateParametersError(
             f"factorizing operator ill conditioned (estimate {cond:.3e})"

@@ -22,10 +22,6 @@ _GATES_1 = {
     "number": np.array([[0, 0], [0, 1]], dtype=complex),
 }
 
-PERMUTATION_GATE = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
 
 def _bit_position(site: int, n_sites: int) -> int:
     return n_sites - site

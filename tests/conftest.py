@@ -6,6 +6,11 @@ from sixvertex.vertex_model import Regime, random_lattice, random_spectral_point
 RATIONAL = Regime("rational", 1.0)
 TRIG = Regime("trigonometric", 0.7)
 
+# The two-site swap |ab> -> |ba>, in the basis (|00>, |01>, |10>, |11>).
+PERMUTATION_GATE = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
+
 
 @pytest.fixture(params=["rational", "trigonometric"], ids=["rat", "trig"])
 def regime(request):

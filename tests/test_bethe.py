@@ -180,3 +180,91 @@ def test_roots_provenance_mismatch(regime):
     roots = bethe.solve_bethe_roots(1, lattice, regime, seed=11)
     assert roots.matches(lattice, regime)
     assert not roots.matches(other, regime)
+
+
+def off_shell_roots(m, lattice, regime, rng):
+    """m random roots clear of the weight poles at the sites and at each other."""
+    q = []
+    for _ in range(m):
+        avoid = [v + shift for v in q for shift in (0.0, regime.eta, -regime.eta)]
+        q.append(vm.random_spectral_point(lattice, regime, rng, avoid=avoid))
+    return np.array(q)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_newton_jacobian_matches_central_differences(m, regime):
+    rng = np.random.default_rng(100 + m)
+    h = 1e-6
+    for trial in range(3):
+        lattice = make_lattice(5, regime, seed=30 + 3 * m + trial)
+        q = off_shell_roots(m, lattice, regime, rng)
+        _, jac = bethe._newton_system(q, lattice, regime)
+        scale = float(np.max(np.abs(jac)))
+        for a in range(m):
+            step = np.zeros(m, dtype=complex)
+            step[a] = h
+            plus, _ = bethe._newton_system(q + step, lattice, regime)
+            minus, _ = bethe._newton_system(q - step, lattice, regime)
+            # exp/log folds a principal-branch jump of the log-ratio back
+            column = np.log(np.exp(plus - minus)) / (2 * h)
+            assert float(np.max(np.abs(column - jac[:, a]))) < 1e-6 * scale
+
+
+def test_newton_step_evaluates_each_pair_weight_once(monkeypatch):
+    # Patching the names bethe imports counts only the pair tables and the
+    # Jacobian's site sum; vacuum_eigenvalue calls vertex_model's own c_weight.
+    counts = {"c": 0, "dlog_c": 0}
+    per_call = {"bae_residuals": [], "_newton_system": []}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def tallied(name, fn):
+        # weight evaluations of each call that returns (a colliding iterate
+        # raises in bae_residuals before any weight is evaluated)
+        def wrapper(*args):
+            before = dict(counts)
+            out = fn(*args)
+            per_call[name].append((counts["c"] - before["c"], counts["dlog_c"] - before["dlog_c"]))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(bethe, "c_weight", counted("c", vm.c_weight))
+    monkeypatch.setattr(bethe, "log_c_derivative", counted("dlog_c", vm.log_c_derivative))
+    for name in per_call:
+        monkeypatch.setattr(bethe, name, tallied(name, getattr(bethe, name)))
+    L, m = 6, 3
+    lattice = make_lattice(L, RATIONAL, seed=2)
+    roots = bethe.solve_bethe_roots(m, lattice, RATIONAL, seed=2)
+    assert roots.residual < 1e-12
+    pairs = m * (m - 1)
+    assert per_call["_newton_system"]
+    assert set(per_call["bae_residuals"]) == {(pairs, 0)}
+    assert set(per_call["_newton_system"]) == {(pairs, pairs + m * L)}
+
+
+# Solves of the seeded sweep that stall, as (family, L, lattice seed, M).  The
+# homotopy from the homogeneous point halves its leg below the minimum near
+# s = 0.42 for both; the Gaudin matrix along that path is where to look.
+KNOWN_STALLS = {("rational", 7, 4, 2), ("rational", 7, 4, 3)}
+
+
+@pytest.mark.parametrize("L", [4, 5, 6, 7])
+def test_seeded_solver_sweep(L, regime):
+    # Lattice and solve share the seed, as in run_verify.
+    stalls = set()
+    for seed in range(5):
+        lattice = make_lattice(L, regime, seed=seed)
+        for m in range(1, L // 2 + 1):
+            try:
+                roots = bethe.solve_bethe_roots(m, lattice, regime, seed=seed)
+            except SolverFailureError as exc:
+                assert "homotopy stalled" in str(exc)
+                stalls.add((regime.family, L, seed, m))
+                continue
+            assert roots.residual < 1e-12
+            assert float(np.max(bethe.bae_residuals(roots.q, lattice, regime))) < 1e-12
+    assert stalls == {case for case in KNOWN_STALLS if case[:2] == (regime.family, L)}

@@ -54,6 +54,21 @@ def test_parse_rejects_m_above_l():
         parse_config_text("L: 2\nM: 3\n")
 
 
+def test_parse_rejects_m_equal_to_l():
+    # the solver has no starting branch set for M = L (combinations of 1 .. L-1)
+    with pytest.raises(ConfigError, match="0 <= M < L=2"):
+        parse_config_text("L: 2\nM: 2\n")
+
+
+def test_cli_verify_rejects_m_equal_to_l(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("L: 3\nM: 3\n")
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--output-dir", str(out_dir)]) == 2
+    assert "M=3 must satisfy 0 <= M < L=3" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_parse_rejects_xi_length_mismatch():
     with pytest.raises(ConfigError):
         parse_config_text("L: 3\nM: 1\nxi: 0.1, 0.2\n")

@@ -10,7 +10,7 @@ from sixvertex.config import RunConfig
 from sixvertex.errors import DegenerateParametersError
 from sixvertex.verify import run_verify
 
-from conftest import RATIONAL, TRIG, make_lattice
+from conftest import PERMUTATION_GATE, RATIONAL, TRIG, make_lattice
 from dense_routes import (
     assert_close_to_dense,
     closed_forms_dense_residual,
@@ -47,7 +47,7 @@ def test_tail_product_coinciding_arguments_gives_permutation(regime):
     # F is singular here, so it is built without the condition guard
     f = fb.apply_factorizer((1, 2, 3), tc.identity_operator(3), lattice, regime)
     got, before_tail = tail_columns(f, 1)
-    first = tc.embed_two_site(tc.PERMUTATION_GATE, 2, 1, 3)
+    first = tc.embed_two_site(PERMUTATION_GATE, 2, 1, 3)
     second = tc.embed_two_site(vm.s_matrix(xi[2], xi[0], regime), 3, 1, 3)
     assert tc.max_abs_diff(got, first @ second @ before_tail) < 1e-14
 
@@ -185,6 +185,20 @@ def test_condition_guard_rejects(monkeypatch, regime):
     monkeypatch.setattr(fb, "CONDITION_LIMIT", 1.0)
     with pytest.raises(DegenerateParametersError, match="ill conditioned"):
         fb.factorizing_operator(lattice, regime)
+
+
+def test_singular_factorizer_is_rejected_as_ill_conditioned(regime):
+    # Coinciding xi_1 = xi_2 make F exactly singular; the failed inverse must
+    # surface as the typed condition error, not numpy's LinAlgError.
+    lattice = vm.LatticeSpec(3, (0.25 + 0.1j, 0.25 + 0.1j, -0.3))
+    with pytest.raises(DegenerateParametersError, match="ill conditioned"):
+        fb.factorizing_operator(lattice, regime)
+    report = run_verify(
+        RunConfig(family=regime.family, eta=regime.eta, length=3, magnons=1, xi=lattice.xi)
+    )
+    closed = next(r for r in report.results if r.name == "f_closed_forms")
+    assert not closed.passed
+    assert closed.note.startswith("DegenerateParametersError: factorizing operator ill conditioned")
 
 
 def test_verify_builds_each_factorizer_once_per_check(monkeypatch, regime):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from sixvertex import tensor_core as tc
 
+from conftest import PERMUTATION_GATE
+
 
 # Independent bit helpers, written from the convention (site 1 = most
 # significant bit), that the oracles below index with.
@@ -115,7 +117,7 @@ def test_embed_identity_gate():
 
 
 def test_embed_permutation_swaps_occupations():
-    P = tc.PERMUTATION_GATE
+    P = PERMUTATION_GATE
     op = tc.embed_two_site(P, 1, 3, 3)
     src = tc.index_of_sites([1], 3)
     dst = tc.index_of_sites([3], 3)

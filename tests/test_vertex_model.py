@@ -9,7 +9,7 @@ from sixvertex import tensor_core as tc
 from sixvertex import vertex_model as vm
 from sixvertex.errors import DegenerateParametersError, PoleError, SingularWeightError
 
-from conftest import RATIONAL, TRIG, make_lattice
+from conftest import PERMUTATION_GATE, RATIONAL, TRIG, make_lattice
 
 complex_box = st.builds(
     complex,
@@ -91,7 +91,7 @@ def test_regime_rejects_vanishing_phi_eta():
 
 def test_s_matrix_at_equal_arguments_is_permutation(regime):
     s = vm.s_matrix(0.37 + 0.1j, 0.37 + 0.1j, regime)
-    assert tc.max_abs_diff(s, tc.PERMUTATION_GATE) < 1e-15
+    assert tc.max_abs_diff(s, PERMUTATION_GATE) < 1e-15
 
 
 # Near a pole the weights reach 1e5-1e6 and rounding alone exceeds an
@@ -142,7 +142,7 @@ def test_monodromy_first_factor_permutation_at_t_equals_xi1(regime):
     lattice = vm.LatticeSpec(2, (0.3, -0.2))
     t = lattice.xi[0]
     got = vm.monodromy_matrix(t, lattice, regime)
-    want = tc.embed_two_site(tc.PERMUTATION_GATE, 1, 3, 3) @ tc.embed_two_site(
+    want = tc.embed_two_site(PERMUTATION_GATE, 1, 3, 3) @ tc.embed_two_site(
         vm.s_matrix(lattice.xi[1], t, regime), 2, 3, 3
     )
     assert tc.max_abs_diff(got, want) < 1e-15
