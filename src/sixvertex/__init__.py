@@ -1,10 +1,11 @@
 """Exact verification lab for the inhomogeneous six-vertex model.
 
-Dense linear-algebra construction of the monodromy operator family, the
-factorizing operator with its closed-form conjugates, a Bethe-root solver
-with eigenstate verification, the coordinate-space wave function with an
-independent brute-force oracle, and the domain-wall partition function with
-a sum/recurrence cross-check.
+Monodromy blocks and the factorizing operator, each applied to blocks of
+vectors one two-site gate at a time; the closed forms F conjugates the
+blocks into, checked on weights and random probe vectors; a Bethe-root
+solver with eigenstate verification; the coordinate-space wave function
+with an independent brute-force oracle; and the domain-wall partition
+function with a sum/recurrence cross-check.
 """
 
 from .bethe import BetheRoots, bae_residuals, eigenstate_residual, solve_bethe_roots

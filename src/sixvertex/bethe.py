@@ -267,10 +267,10 @@ def solve_bethe_roots(
 
 def bethe_vector(q, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
     """State built by applying the creation blocks at q_1 .. q_M to the vacuum."""
-    vec = vacuum_state(lattice.length)
+    vec = vacuum_state(lattice.length)[:, None]
     for qi in reversed(tuple(q)):
-        vec = monodromy_entries(qi, lattice, regime).b @ vec
-    return vec
+        vec = monodromy_entries(qi, lattice, regime, vec).b
+    return vec[:, 0]
 
 
 def eigenstate_residual(
@@ -284,8 +284,8 @@ def eigenstate_residual(
     worst = 0.0
     for t in t_samples:
         lam = transfer_eigenvalue(t, roots.q, lattice, regime)
-        z = transfer_matrix(t, lattice, regime)
-        worst = max(worst, float(np.linalg.norm(z @ vec - lam * vec)) / norm)
+        z_vec = transfer_matrix(t, lattice, regime, vec[:, None])[:, 0]
+        worst = max(worst, float(np.linalg.norm(z_vec - lam * vec)) / norm)
     return worst
 
 

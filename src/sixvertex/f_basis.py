@@ -17,14 +17,13 @@ with probability 1 over V.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DegenerateParametersError
 from .tensor_core import (
     apply_site_flips,
-    apply_two_site,
+    apply_two_site_left,
     flip_columns,
     identity_operator,
     index_of_sites,
@@ -76,12 +75,6 @@ def _tail_gates(order, pos, lattice, regime):
         yield s_matrix(lattice.xi[later - 1], lattice.xi[n - 1], regime), later, n
 
 
-def _apply_gate_left(gate, site_i, site_j, block, n_sites):
-    # embed(g) @ block = (block^T @ embed(g^T))^T: the gate's embedding
-    # transposes to the embedding of its transpose.
-    return apply_two_site(block.T, gate.T, site_i, site_j, n_sites).T
-
-
 def apply_factorizer(order, block, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
     """F·block for the factorizer built in ``order``; on the identity it
     gives the dense F.
@@ -96,7 +89,7 @@ def apply_factorizer(order, block, lattice: LatticeSpec, regime: Regime) -> np.n
         occupied = (bits[order[pos] - 1] == 1)[:, None]
         part = np.where(occupied, out, 0)
         for gate, site_i, site_j in reversed(list(_tail_gates(order, pos, lattice, regime))):
-            part = _apply_gate_left(gate, site_i, site_j, part, L)
+            part = apply_two_site_left(part, gate, site_i, site_j, L)
         out = np.where(occupied, 0, out) + part
     return out
 
@@ -144,7 +137,7 @@ def factorization_residual(lattice: LatticeSpec, regime: Regime) -> float:
         swapped = list(identity_order)
         swapped[site - 1], swapped[site] = swapped[site], swapped[site - 1]
         rhs = apply_factorizer(tuple(swapped), block, lattice, regime)
-        rhs = _apply_gate_left(transposition_gate(site, lattice, regime), site + 1, site, rhs, L)
+        rhs = apply_two_site_left(rhs, transposition_gate(site, lattice, regime), site + 1, site, L)
         worst = max(worst, probe_residual(lhs, rhs))
     return worst
 
@@ -228,18 +221,18 @@ def quasilocal_c(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray
 def closed_forms_residual(f: np.ndarray, t: complex, lattice: LatticeSpec, regime: Regime) -> float:
     """Worst probe residual of X(t)·F = F·X̃(t) for X = A, B, C.
 
-    The closed forms X̃ act on the probe block as weights and flips; F and
-    the monodromy blocks X(t) as dense matrices.  No inverse of F is used.
+    The closed forms X̃ act on the probe block as weights and flips, F as a
+    dense matrix, and the monodromy blocks X(t) on F times the probe block.
+    No inverse of F is used.
     """
     block = probe_block(lattice.length)
-    ent = monodromy_entries(t, lattice, regime)
-    f_block = f @ block
+    ent = monodromy_entries(t, lattice, regime, f @ block)
     pairs = (
         (ent.a, diagonal_a(t, lattice, regime)[:, None] * block),
         (ent.b, apply_site_flips("raise", quasilocal_b(t, lattice, regime), block)),
         (ent.c, apply_site_flips("lower", quasilocal_c(t, lattice, regime), block)),
     )
-    return max(probe_residual(x @ f_block, f @ tilde_block) for x, tilde_block in pairs)
+    return max(probe_residual(x_f_block, f @ tilde_block) for x_f_block, tilde_block in pairs)
 
 
 def commutation_residual(t: complex, t2: complex, lattice: LatticeSpec, regime: Regime) -> float:
@@ -303,23 +296,22 @@ def exchange_residual(lattice: LatticeSpec, regime: Regime) -> float:
 
 
 def f_matrix_element_residual(lattice: LatticeSpec, regime: Regime) -> float:
-    """Residual of the matrix-element identity for the factorizing operator.
+    """Probe residual of the matrix-element identity for the factorizing
+    operator, through its generating function.
 
-    Column {n} (occupied sites n_1 < ... < n_M) of the operator must equal
-    the vector B(xi_{n_1}) ... B(xi_{n_M}) |0>, across every occupation
-    sector; rows outside the M-particle sector vanish on both sides.
+    Column {n} (occupied sites n_1 < ... < n_M) of F must equal
+    B(xi_{n_1}) ... B(xi_{n_M}) |0>, across every occupation sector.  Weighting
+    column {n} by rho_{n_1}⋯rho_{n_M} and summing, F applied to the product
+    vector r = ⊗_n (1, rho_n) must equal (1 + rho_1 B(xi_1))⋯(1 + rho_L B(xi_L)) |0>.
+    Each probe draws its rho_n from the first L rows of the probe block.
     """
     L = lattice.length
-    f = apply_factorizer(tuple(range(1, L + 1)), identity_operator(L), lattice, regime)
-    b_ops = {n: monodromy_entries(lattice.xi[n - 1], lattice, regime).b for n in range(1, L + 1)}
-    # Subsets run in increasing size, so the vector of (n_2 < ... < n_M) is
-    # ready when (n_1 < n_2 < ... < n_M) needs it.
-    vectors = {(): vacuum_state(L)}
-    worst = 0.0
-    for m_count in range(L + 1):
-        for subset in combinations(range(1, L + 1), m_count):
-            if subset:
-                vectors[subset] = b_ops[subset[0]] @ vectors[subset[1:]]
-            col = f[:, index_of_sites(subset, L)]
-            worst = max(worst, max_abs_diff(col, vectors[subset]))
-    return worst
+    rho = probe_block(L)[:L]
+    r = np.ones((1 << L, PROBES), dtype=complex)
+    for bits, rho_n in zip(site_occupations(L), rho):
+        r *= np.where(bits[:, None] == 1, rho_n, 1.0)
+    lhs = apply_factorizer(tuple(range(1, L + 1)), r, lattice, regime)
+    rhs = np.repeat(vacuum_state(L)[:, None], PROBES, axis=1)
+    for n in range(L, 0, -1):
+        rhs = rhs + rho[n - 1] * monodromy_entries(lattice.xi[n - 1], lattice, regime, rhs).b
+    return probe_residual(lhs, rhs)

@@ -4,8 +4,8 @@ Convention, fixed once for the whole package: a chain of ``L`` sites is
 indexed 1..L, site occupations are bits (1 = up-spin / particle), and the
 basis index of a configuration puts site 1 in the most significant bit.
 The all-empty configuration is index 0.  Operators are dense complex
-matrices with row = out-state and column = in-state.  ``apply_two_site``
-multiplies an operator by a two-site gate without forming the dense
+matrices with row = out-state and column = in-state.  ``apply_two_site_left``
+applies a two-site gate to a block of vectors without forming the dense
 ``embed_two_site`` matrix, and ``apply_site_flips`` applies a weighted sum
 of single-site flips to a block of vectors without forming any operator.
 """
@@ -120,10 +120,7 @@ def apply_two_site(op, gate, site_i: int, site_j: int, n_sites: int) -> np.ndarr
     The two site axes of op's column index move last, in site order, and the
     ``(rows * dim/4, 4)`` view is multiplied by the 4x4 gate: O(dim) work per
     row instead of O(dim^2).  Where an output entry has two nonzero terms the
-    result may differ from the dense product in the last bits.  A
-    particle-conserving gate (such as the S-matrix) on a site that ``op``
-    leaves alone gives every entry a single term, and then the two are
-    equal exactly.
+    result may differ from the dense product in the last bits.
     """
     g = _two_site_gate(gate, site_i, site_j, n_sites)
     if site_i > site_j:
@@ -141,6 +138,13 @@ def apply_two_site(op, gate, site_i: int, site_j: int, n_sites: int) -> np.ndarr
     out = split.reshape(-1, 4) @ g
     out = out.reshape(rows, before, between, after, 2, 2).transpose(0, 1, 4, 2, 5, 3)
     return out.reshape(rows, dim)
+
+
+def apply_two_site_left(block, gate, site_i: int, site_j: int, n_sites: int) -> np.ndarray:
+    """``embed_two_site(gate, site_i, site_j, n_sites) @ block``, no embedding
+    built: the transpose of ``apply_two_site`` on the transposed block, since
+    a gate's embedding transposes to the embedding of its transpose."""
+    return apply_two_site(np.asarray(block).T, np.asarray(gate).T, site_i, site_j, n_sites).T
 
 
 def flip_columns(site: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:

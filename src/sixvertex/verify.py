@@ -116,7 +116,7 @@ def _check_yang_baxter(ctx):
 def _check_vacuum_actions(ctx):
     rng, regime, lattice = ctx["rng"], ctx["regime"], ctx["lattice"]
     worst = 0.0
-    vac = tc.vacuum_state(lattice.length)
+    vac = tc.vacuum_state(lattice.length)[:, None]
     n_tot = sum(
         tc.site_operator("number", i, lattice.length)
         for i in range(1, lattice.length + 1)
@@ -124,13 +124,12 @@ def _check_vacuum_actions(ctx):
     samples = 3
     for _ in range(samples):
         t = vm.random_spectral_point(lattice, regime, rng)
-        ent = vm.monodromy_entries(t, lattice, regime)
+        ent = vm.monodromy_entries(t, lattice, regime, vac)
         a_t = vm.vacuum_eigenvalue(t, lattice, regime)
-        worst = max(worst, tc.max_abs_diff(ent.a @ vac, a_t * vac))
-        worst = max(worst, tc.max_abs_diff(ent.d @ vac, vac))
-        worst = max(worst, float(np.max(np.abs(ent.c @ vac))))
-        bvac = ent.b @ vac
-        worst = max(worst, tc.max_abs_diff(n_tot @ bvac, bvac))
+        worst = max(worst, tc.max_abs_diff(ent.a, a_t * vac))
+        worst = max(worst, tc.max_abs_diff(ent.d, vac))
+        worst = max(worst, float(np.max(np.abs(ent.c))))
+        worst = max(worst, tc.max_abs_diff(n_tot @ ent.b, ent.b))
     return worst, {"L": lattice.length, "spectral_samples": samples}
 
 
@@ -148,7 +147,12 @@ def _check_f_factorization(ctx):
 def _check_f_matrix_elements(ctx):
     regime, lattice = ctx["regime"], ctx["lattice"]
     worst = f_basis.f_matrix_element_residual(lattice, regime)
-    return worst, {"L": lattice.length, "sectors": lattice.length + 1}
+    return worst, {
+        "L": lattice.length,
+        "sectors": lattice.length + 1,
+        "route": "probe",
+        "probes": f_basis.PROBES,
+    }
 
 
 def _check_f_closed_forms(ctx):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParametersError, PoleError, SingularWeightError
-from .tensor_core import apply_two_site, identity_operator
+from .tensor_core import apply_two_site_left
 # Unused here; perfbench/selftest.py checks that tracing wraps this binding.
 from .tensor_core import embed_two_site  # noqa: F401
 
@@ -171,43 +171,35 @@ def s_matrix(t1: complex, t2: complex, regime: Regime) -> np.ndarray:
     )
 
 
-def monodromy_matrix(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
-    """Ordered product over sites of S(site, aux), aux appended as site L+1.
+def monodromy_matrix(t: complex, lattice: LatticeSpec, regime: Regime, block) -> np.ndarray:
+    """T(t)·block for T(t) = S(1, aux)⋯S(L, aux), aux appended as site L+1.
 
-    Factors are composed left to right: site 1 outermost, acting last on kets.
+    ``block`` has 2^(L+1) rows; the identity gives the dense T(t).  The
+    factors act last first: S(L, aux) is applied first, S(1, aux) last.
     """
     for i, x in enumerate(lattice.xi, start=1):
         if abs(regime.phi(x - t + regime.eta)) < POLE_TOL:
             raise SingularWeightError(f"phi(xi_{i} - t + eta) = 0 at site {i}, t={t}")
-    # The product of the first i - 1 factors acts as the identity on sites
-    # i..L, so it is kept on sites 1..i-1 plus aux only.  Site i joins as an
-    # identity factor just above aux (an exact copy), then S couples it to aux.
-    out = identity_operator(1)
-    for i, x in enumerate(lattice.xi, start=1):
-        half = out.shape[0] // 2
-        grown = np.zeros((half, 2, 2, half, 2, 2), dtype=complex)
-        for s in (0, 1):
-            grown[:, s, :, :, s, :] = out.reshape(half, 2, half, 2)
-        grown = grown.reshape(4 * half, 4 * half)
-        out = apply_two_site(grown, s_matrix(x, t, regime), i, i + 1, i + 1)
+    aux = lattice.length + 1
+    out = np.asarray(block, dtype=complex)
+    for i in range(lattice.length, 0, -1):
+        out = apply_two_site_left(out, s_matrix(lattice.xi[i - 1], t, regime), i, aux, aux)
     return out
 
 
-def extract_entries(monodromy: np.ndarray, n_sites: int) -> MonodromyEntries:
-    """Slice the four auxiliary-space blocks out of a monodromy matrix.
+def extract_entries(product: np.ndarray) -> MonodromyEntries:
+    """Slice the four auxiliary-space blocks out of T·(V ⊗ 1_aux).
 
-    The auxiliary slot is the least significant bit;  block assignment to
-    names is pinned by the vacuum actions, which the ``vacuum_actions``
-    verify check tests.
+    The auxiliary slot is the least significant bit of both the rows and
+    the columns, so on the identity this slices the dense monodromy.  Block
+    assignment to names is pinned by the vacuum actions, which the
+    ``vacuum_actions`` verify check tests.
     """
-    dim = 1 << (n_sites + 1)
-    if monodromy.shape != (dim, dim):
-        raise ValueError(f"monodromy must act on {n_sites}+1 sites, got {monodromy.shape}")
     return MonodromyEntries(
-        a=monodromy[1::2, 1::2].copy(),
-        b=monodromy[0::2, 1::2].copy(),
-        c=monodromy[1::2, 0::2].copy(),
-        d=monodromy[0::2, 0::2].copy(),
+        a=product[1::2, 1::2],
+        b=product[0::2, 1::2],
+        c=product[1::2, 0::2],
+        d=product[0::2, 0::2],
     )
 
 
@@ -219,14 +211,16 @@ def vacuum_eigenvalue(t: complex, lattice: LatticeSpec, regime: Regime) -> compl
     return a
 
 
-def monodromy_entries(t: complex, lattice: LatticeSpec, regime: Regime) -> MonodromyEntries:
-    """Build the monodromy matrix and return its A, B, C, D blocks."""
-    return extract_entries(monodromy_matrix(t, lattice, regime), lattice.length)
+def monodromy_entries(t: complex, lattice: LatticeSpec, regime: Regime, block) -> MonodromyEntries:
+    """A·V, B·V, C·V and D·V for the chain block V (2^L rows), the identity
+    giving the dense blocks: T(t) acts on V lifted to V ⊗ 1_aux."""
+    lifted = np.kron(np.asarray(block), np.eye(2))
+    return extract_entries(monodromy_matrix(t, lattice, regime, lifted))
 
 
-def transfer_matrix(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
-    """Auxiliary-space trace A(t) + D(t)."""
-    entries = monodromy_entries(t, lattice, regime)
+def transfer_matrix(t: complex, lattice: LatticeSpec, regime: Regime, block) -> np.ndarray:
+    """Auxiliary-space trace applied to the chain block: (A(t) + D(t))·V."""
+    entries = monodromy_entries(t, lattice, regime, block)
     return entries.a + entries.d
 
 

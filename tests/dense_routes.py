@@ -1,13 +1,16 @@
 """Dense routes of the F-basis identities, kept as oracles for the tests.
 
 The library checks the closed forms on their weight data and the identities
-that involve F on random probe vectors.  Here each closed form is rebuilt as
-a dense 2^L x 2^L matrix from that weight data, the factorizer as the
-product of dense ``embed_two_site`` matrices, and each identity is measured
-as the max-abs entrywise difference of dense operator products, as the
-library did before.  For L <= 8 both routes must stay under the same
+that involve F or the monodromy blocks on random probe vectors.  Here each
+closed form is rebuilt as a dense 2^L x 2^L matrix from that weight data,
+the factorizer as the product of dense ``embed_two_site`` matrices, the
+monodromy blocks by applying T(t) to the identity, and each identity is
+measured as the max-abs entrywise difference of dense operator products, as
+the library did before.  For L <= 8 both routes must stay under the same
 tolerance.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -20,6 +23,11 @@ def assert_close_to_dense(got, dense):
     """The gate routes agree with a dense product to 1e-14 of its scale."""
     bound = 1e-14 * max(1.0, float(np.max(np.abs(dense))))
     assert tc.max_abs_diff(got, dense) <= bound
+
+
+def dense_entries(t, lattice, regime):
+    """The dense A, B, C, D blocks: the monodromy applied to the identity."""
+    return vm.monodromy_entries(t, lattice, regime, tc.identity_operator(lattice.length))
 
 
 def dense_tail(order, pos, lattice, regime):
@@ -87,7 +95,7 @@ def conjugated(op, factorizer):
 
 def closed_forms_dense_residual(fac, t, lattice, regime):
     """max-abs residual of F^-1 X(t) F = X~(t) for X = A, B, C."""
-    ent = vm.monodromy_entries(t, lattice, regime)
+    ent = dense_entries(t, lattice, regime)
     return max(
         tc.max_abs_diff(conjugated(ent.a, fac), dense_a(t, lattice, regime)),
         tc.max_abs_diff(conjugated(ent.b, fac), dense_b(t, lattice, regime)),
@@ -133,4 +141,31 @@ def commutation_dense_residual(t, t2, lattice, regime):
         b_i = dense_creation(i, t, lattice, regime)
         scale = vm.c_weight(lattice.xi[i - 1] - t2, regime)
         worst = max(worst, tc.max_abs_diff(b_i @ af, scale * (af @ b_i)))
+    return worst
+
+
+def f_matrix_element_dense_residual(lattice, regime):
+    """max-abs residual of F e_{n} = B(xi_{n_1}) ... B(xi_{n_M}) |0> over every
+    subset n_1 < ... < n_M, with F and each B(xi_n) dense.
+
+    F and the monodromy blocks are looked up on ``f_basis``, so a test that
+    patches them there breaks this route and the library's alike.
+    """
+    L = lattice.length
+    identity = tc.identity_operator(L)
+    f = fb.apply_factorizer(tuple(range(1, L + 1)), identity, lattice, regime)
+    b_ops = {
+        n: fb.monodromy_entries(lattice.xi[n - 1], lattice, regime, identity).b
+        for n in range(1, L + 1)
+    }
+    # Subsets run in increasing size, so the vector of (n_2 < ... < n_M) is
+    # ready when (n_1 < n_2 < ... < n_M) needs it.
+    vectors = {(): tc.vacuum_state(L)}
+    worst = 0.0
+    for m_count in range(L + 1):
+        for subset in combinations(range(1, L + 1), m_count):
+            if subset:
+                vectors[subset] = b_ops[subset[0]] @ vectors[subset[1:]]
+            col = f[:, tc.index_of_sites(subset, L)]
+            worst = max(worst, tc.max_abs_diff(col, vectors[subset]))
     return worst

@@ -20,6 +20,7 @@ from dense_routes import (
     closed_forms_dense_residual,
     commutation_dense_residual,
     exchange_dense_residual,
+    f_matrix_element_dense_residual,
     factorization_dense_residual,
 )
 
@@ -98,13 +99,16 @@ def test_criterion_03_factorization_adjacent_transpositions():
 
 
 def test_criterion_04_f_matrix_elements_all_sectors():
-    worst = 0.0
+    # probe route F r = prod_n (1 + rho_n B(xi_n)) |0>, and the dense
+    # column-by-column F e_{n} = B(xi_{n_1}) ... B(xi_{n_M}) |0>
+    worst = worst_dense = 0.0
     for regime, _ in REGIMES:
         for L in range(2, 7):
             lattice = make_lattice(L, regime, seed=4000 + L)
             worst = max(worst, f_basis.f_matrix_element_residual(lattice, regime))
-    ok = worst < 1e-10
-    report(4, "f_matrix_elements", ok, f"max residual {worst:.2e}")
+            worst_dense = max(worst_dense, f_matrix_element_dense_residual(lattice, regime))
+    ok = worst < 1e-10 and worst_dense < 1e-10
+    report(4, "f_matrix_elements", ok, f"probe {worst:.2e}, dense {worst_dense:.2e}")
 
 
 def test_criterion_05_commutation_and_exchange():

@@ -15,9 +15,9 @@ from conftest import RATIONAL, TRIG, make_lattice
 def psi_oracle(x, q, lattice, regime):
     """Brute-force amplitude <x_1..x_M| B(q_1)...B(q_M) |0>.
 
-    Built entirely from dense monodromy blocks; shares no code with the
-    permutation-sum formula.  Accepts coordinates in any (distinct) order,
-    since the bra only depends on the occupied set.
+    Built entirely from monodromy blocks applied to the vacuum; shares no
+    code with the permutation-sum formula.  Accepts coordinates in any
+    (distinct) order, since the bra only depends on the occupied set.
     """
     x = cw.validate_configuration(sorted(x), lattice.length)
     vec = bethe.bethe_vector(q, lattice, regime)

@@ -19,9 +19,11 @@ from dense_routes import (
     dense_a,
     dense_b,
     dense_creation,
+    dense_entries,
     dense_factorizer,
     dense_flip_sum,
     exchange_dense_residual,
+    f_matrix_element_dense_residual,
     factorization_dense_residual,
     tail_columns,
 )
@@ -92,7 +94,7 @@ def test_diagonal_a_single_site(regime):
     want = np.diag([vm.c_weight(0.3 - t, regime), 1.0])
     assert tc.max_abs_diff(dense_a(t, lattice, regime), want) < 1e-15
     fac = fb.factorizing_operator(lattice, regime)
-    ent = vm.monodromy_entries(t, lattice, regime)
+    ent = dense_entries(t, lattice, regime)
     assert tc.max_abs_diff(conjugated(ent.a, fac), want) < 1e-14
 
 
@@ -111,7 +113,7 @@ def test_conjugated_a_is_diagonal(regime):
     fac = fb.factorizing_operator(lattice, regime)
     rng = np.random.default_rng(72)
     t = vm.random_spectral_point(lattice, regime, rng)
-    af = conjugated(vm.monodromy_entries(t, lattice, regime).a, fac)
+    af = conjugated(dense_entries(t, lattice, regime).a, fac)
     off = af - np.diag(np.diag(af))
     assert float(np.max(np.abs(off))) < 1e-10
 
@@ -172,6 +174,7 @@ def test_f_matrix_elements_small(regime):
     for L in (2, 3, 4):
         lattice = make_lattice(L, regime, seed=110 + L)
         assert fb.f_matrix_element_residual(lattice, regime) < 1e-11
+        assert f_matrix_element_dense_residual(lattice, regime) < 1e-11
 
 
 def test_quasilocal_b_requires_generic_lattice(regime):
@@ -202,10 +205,10 @@ def test_singular_factorizer_is_rejected_as_ill_conditioned(regime):
 
 
 def test_verify_builds_each_factorizer_once_per_check(monkeypatch, regime):
-    # f_matrix_elements and f_closed_forms each build the identity-order
-    # factorizer once, by applying it to the identity; f_factorization
-    # applies the factorizers only to probe vectors, and only f_closed_forms
-    # inverts F.
+    # f_closed_forms builds the identity-order factorizer once, by applying
+    # it to the identity, and is the only check that inverts F;
+    # f_factorization and f_matrix_elements apply the factorizers only to
+    # probe vectors.
     L = 6
     dim = 1 << L
     builds, inverses = [], []
@@ -223,7 +226,7 @@ def test_verify_builds_each_factorizer_once_per_check(monkeypatch, regime):
     monkeypatch.setattr(fb, "apply_factorizer", counted_apply)
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
     run_verify(RunConfig(family=regime.family, eta=regime.eta, length=L, magnons=L // 2))
-    assert builds == [tuple(range(1, L + 1))] * 2
+    assert builds == [tuple(range(1, L + 1))]
     assert len(inverses) == 1
 
 
@@ -338,6 +341,35 @@ def test_wrong_identity_fails_both_routes(mutation, L, monkeypatch, regime):
             assert dense > 1e-3, f"{check}: dense residual {dense:.3e}"
 
 
+def _shifted_entries(fn):
+    return lambda t, *args: fn(t + 0.05, *args)
+
+
+def _swapped_first_pair(fn):
+    return lambda order, *args: fn((order[1], order[0]) + tuple(order[2:]), *args)
+
+
+# A wrong matrix-element identity: (patched f_basis name, its replacement)
+F_MATRIX_MUTATIONS = {
+    "b_at_shifted_points": ("monodromy_entries", _shifted_entries(fb.monodromy_entries)),
+    "f_in_swapped_order": ("apply_factorizer", _swapped_first_pair(fb.apply_factorizer)),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(F_MATRIX_MUTATIONS))
+@pytest.mark.parametrize("L", [3, 5])
+def test_wrong_matrix_element_identity_fails_both_routes(mutation, L, monkeypatch, regime):
+    # A reversed B order is no mutant: the B(xi_n) commute.
+    name, replacement = F_MATRIX_MUTATIONS[mutation]
+    lattice = make_lattice(L, regime, seed=190 + L)
+    assert fb.f_matrix_element_residual(lattice, regime) < 1e-10
+    monkeypatch.setattr(fb, name, replacement)
+    probe = fb.f_matrix_element_residual(lattice, regime)
+    dense = f_matrix_element_dense_residual(lattice, regime)
+    assert probe >= 0.1, f"probe residual {probe:.3e}"
+    assert dense >= 0.1, f"dense residual {dense:.3e}"
+
+
 def test_rational_nine_site_verify_passes_every_check():
     # Conjugating with a numerical inverse of F failed f_closed_forms here
     # (1.467e-10 against 1e-10) though the identity holds.
@@ -349,7 +381,7 @@ def test_rational_nine_site_verify_passes_every_check():
 def test_report_names_route_and_condition(regime):
     report = run_verify(RunConfig(family=regime.family, eta=regime.eta, length=4, magnons=2))
     params = {r.name: r.params for r in report.results}
-    for name in ("f_factorization", "f_closed_forms"):
+    for name in ("f_factorization", "f_matrix_elements", "f_closed_forms"):
         assert params[name]["route"] == "probe" and params[name]["probes"] == str(fb.PROBES)
     for name in ("creation_commutation", "creation_exchange"):
         assert params[name]["route"] == "weights" and "probes" not in params[name]

@@ -1,8 +1,8 @@
 """Gate application against the dense embedding oracle.
 
-The monodromy and the factorizer are built by applying 4x4 gates; here each
-is compared with the product of dense ``embed_two_site`` matrices it
-replaces.
+The monodromy and the factorizer are applied to blocks of vectors 4x4 gate
+by 4x4 gate; here each is compared with the product of dense
+``embed_two_site`` matrices it replaces.
 """
 
 import numpy as np
@@ -18,15 +18,41 @@ from dense_routes import assert_close_to_dense, dense_factorizer, dense_tail, ta
 LENGTHS = range(1, 7)
 
 
+def dense_monodromy(t, lattice, regime):
+    """S(1, aux)⋯S(L, aux) as a product of dense embeddings."""
+    aux = lattice.length + 1
+    dense = tc.identity_operator(aux)
+    for i, x in enumerate(lattice.xi, start=1):
+        dense = dense @ tc.embed_two_site(vm.s_matrix(x, t, regime), i, aux, aux)
+    return dense
+
+
 @pytest.mark.parametrize("L", LENGTHS)
 def test_monodromy_matches_dense_product(L, regime):
     lattice = make_lattice(L, regime, seed=200 + L)
     t = vm.random_spectral_point(lattice, regime, np.random.default_rng(210 + L))
-    aux = L + 1
-    dense = tc.identity_operator(aux)
-    for i, x in enumerate(lattice.xi, start=1):
-        dense = dense @ tc.embed_two_site(vm.s_matrix(x, t, regime), i, aux, aux)
-    assert_close_to_dense(vm.monodromy_matrix(t, lattice, regime), dense)
+    got = vm.monodromy_matrix(t, lattice, regime, tc.identity_operator(L + 1))
+    assert_close_to_dense(got, dense_monodromy(t, lattice, regime))
+
+
+@pytest.mark.parametrize("L", LENGTHS)
+def test_block_route_matches_dense_product(L, regime):
+    # a random complex block, not symmetric: a missing transpose fails
+    lattice = make_lattice(L, regime, seed=200 + L)
+    rng = np.random.default_rng(280 + L)
+    t = vm.random_spectral_point(lattice, regime, rng)
+    block = rng.normal(size=(1 << L, 3)) + 1j * rng.normal(size=(1 << L, 3))
+    dense = dense_monodromy(t, lattice, regime)
+    want = {
+        "a": dense[1::2, 1::2] @ block,
+        "b": dense[0::2, 1::2] @ block,
+        "c": dense[1::2, 0::2] @ block,
+        "d": dense[0::2, 0::2] @ block,
+    }
+    ent = vm.monodromy_entries(t, lattice, regime, block)
+    for name, value in want.items():
+        assert_close_to_dense(getattr(ent, name), value)
+    assert_close_to_dense(vm.transfer_matrix(t, lattice, regime, block), want["a"] + want["d"])
 
 
 @pytest.mark.parametrize("L", LENGTHS)
@@ -81,7 +107,7 @@ def test_left_gate_application_matches_dense_product():
         for j in range(1, L + 1):
             if i != j:
                 dense = tc.embed_two_site(gate, i, j, L) @ block
-                assert_close_to_dense(fb._apply_gate_left(gate, i, j, block, L), dense)
+                assert_close_to_dense(tc.apply_two_site_left(block, gate, i, j, L), dense)
 
 
 def test_probe_block_is_fixed():
@@ -128,6 +154,6 @@ def test_hot_path_builds_no_dense_embedding(monkeypatch, regime):
         monkeypatch.setattr(module, "embed_two_site", counted)
     L = 6
     lattice = make_lattice(L, regime, seed=250)
-    vm.monodromy_matrix(0.3 + 0.1j, lattice, regime)
+    vm.monodromy_matrix(0.3 + 0.1j, lattice, regime, tc.identity_operator(L + 1))
     fb.factorizing_operator(lattice, regime)
     assert calls == []
