@@ -28,9 +28,10 @@ from .textio import parse_complex_list, write_text_atomic
 from .vertex_model import (
     LatticeSpec,
     Regime,
+    c_and_log_derivative,
     c_weight,
-    log_c_derivative,
     monodromy_entries,
+    site_weights,
     transfer_eigenvalue,
     transfer_matrix,
     vacuum_eigenvalue,
@@ -118,20 +119,27 @@ def _newton_system(q, lattice, regime):
     """Log-ratio r and its Jacobian (the Gaudin matrix) at the iterate q.
 
     r_i is the principal log of a(q_i) * prod_{a != i} c(q_i - q_a) / c(q_a - q_i).
+    Each pair and each run of equal sites evaluates c and its log-derivative
+    once, in one ``c_and_log_derivative`` call.
     """
     m = len(q)
-    c = _pair_table(c_weight, q, regime)
-    dlog_c = _pair_table(log_c_derivative, q, regime)
+    pairs = _pair_table(c_and_log_derivative, q, regime)
     r = np.empty(m, dtype=complex)
     jac = np.zeros((m, m), dtype=complex)
     for i, qi in enumerate(q):
-        ratio = vacuum_eigenvalue(qi, lattice, regime)
-        diag = -sum(log_c_derivative(x - qi, regime) for x in lattice.xi)
+        sites = site_weights(c_and_log_derivative, qi, lattice, regime)
+        # a(q_i) = prod_x c(x - q_i), multiplied up as vacuum_eigenvalue does
+        ratio = 1.0 + 0.0j
+        for c_site, _ in sites:
+            ratio *= c_site
+        diag = -sum(dlog_site for _, dlog_site in sites)
         for a in range(m):
             if a == i:
                 continue
-            ratio *= c[i][a] / c[a][i]
-            pair = dlog_c[i][a] + dlog_c[a][i]
+            c_ia, dlog_ia = pairs[i][a]
+            c_ai, dlog_ai = pairs[a][i]
+            ratio *= c_ia / c_ai
+            pair = dlog_ia + dlog_ai
             diag += pair
             jac[i, a] = -pair
         r[i] = cmath.log(ratio)

@@ -49,14 +49,18 @@ class RunConfig:
         # The solver seeds M roots on distinct branches 1 .. L-1, so M = L has none.
         if not 0 <= self.magnons < self.length:
             raise ConfigError(f"M={self.magnons} must satisfy 0 <= M < L={self.length}")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        if self.tolerance is not None and not 0 < self.tolerance < np.inf:
+            raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if not np.isfinite(self.eta):
+            raise ConfigError(f"eta must be finite, got {self.eta}")
         if self.xi_spread is not None and not 0 < self.xi_spread < np.inf:
             raise ConfigError(f"xi_spread must be finite and positive, got {self.xi_spread}")
         if self.xi is not None and len(self.xi) != self.length:
             raise ConfigError(
                 f"explicit xi list has {len(self.xi)} entries for L={self.length}"
             )
+        if self.xi is not None and not np.all(np.isfinite(self.xi)):
+            raise ConfigError(f"explicit xi list must be finite, got {self.xi}")
         if self.perm_cap < 1:
             raise ConfigError("perm_cap must be at least 1")
         object.__setattr__(self, "eta", complex(self.eta))

@@ -9,7 +9,7 @@ blocks are the creation/annihilation operator family acting on the chain.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +57,8 @@ class Regime:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "eta", complex(self.eta))
+        if not cmath.isfinite(self.eta):
+            raise ValueError(f"eta must be finite, got {self.eta}")
         if abs(self.phi(self.eta)) < POLE_TOL:
             raise ValueError(f"phi(eta) vanishes for eta={self.eta}")
 
@@ -77,6 +79,10 @@ class LatticeSpec:
 
     length: int
     xi: tuple[complex, ...]
+    # (xi, count) per run of consecutive sites with bit-identical xi (repr
+    # tells -0.0 from 0.0), so a weight at every site is evaluated once per
+    # run: the homogeneous chain is a single run.
+    site_runs: tuple[tuple[complex, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "xi", tuple(complex(x) for x in self.xi))
@@ -84,6 +90,13 @@ class LatticeSpec:
             raise ValueError("lattice needs at least one site")
         if len(self.xi) != self.length:
             raise ValueError(f"expected {self.length} inhomogeneities, got {len(self.xi)}")
+        runs: list[list] = []
+        for x in self.xi:
+            if runs and x == runs[-1][0] and repr(x) == repr(runs[-1][0]):
+                runs[-1][1] += 1
+            else:
+                runs.append([x, 1])
+        object.__setattr__(self, "site_runs", tuple((x, n) for x, n in runs))
 
     def _coincidence(self, regime: Regime, floor: float) -> str | None:
         # First pairwise weight denominator within ``floor`` of a pole, if any.
@@ -142,13 +155,18 @@ def c_weight_inv(t: complex, regime: Regime) -> complex:
     return regime.phi(t + regime.eta) / num
 
 
-def log_c_derivative(t: complex, regime: Regime) -> complex:
-    """d/dt log c_weight(t) = phi'(t)/phi(t) - phi'(t+eta)/phi(t+eta)."""
+def c_and_log_derivative(t: complex, regime: Regime) -> tuple[complex, complex]:
+    """(c_weight(t), d/dt log c_weight(t)) from one phi(t) and one phi(t + eta).
+
+    The log-derivative is phi'(t)/phi(t) - phi'(t+eta)/phi(t+eta); both
+    values round exactly as separate evaluations would.
+    """
+    shifted = t + regime.eta
     num = regime.phi(t)
-    den = regime.phi(t + regime.eta)
+    den = regime.phi(shifted)
     if abs(num) < POLE_TOL or abs(den) < POLE_TOL:
         raise SingularWeightError(f"log-derivative of c at a zero/pole, t={t}")
-    return regime.phi_prime(t) / num - regime.phi_prime(t + regime.eta) / den
+    return num / den, regime.phi_prime(t) / num - regime.phi_prime(shifted) / den
 
 
 def s_matrix(t1: complex, t2: complex, regime: Regime) -> np.ndarray:
@@ -203,11 +221,20 @@ def extract_entries(product: np.ndarray) -> MonodromyEntries:
     )
 
 
+def site_weights(weight, t: complex, lattice: LatticeSpec, regime: Regime) -> list:
+    """weight(xi_i - t, regime) for every site i in chain order, evaluated
+    once per run of equal sites (``LatticeSpec.site_runs``)."""
+    out = []
+    for x, count in lattice.site_runs:
+        out += [weight(x - t, regime)] * count
+    return out
+
+
 def vacuum_eigenvalue(t: complex, lattice: LatticeSpec, regime: Regime) -> complex:
     """Eigenvalue of the diagonal block on the empty chain: prod_i c(xi_i - t)."""
     a = 1.0 + 0.0j
-    for x in lattice.xi:
-        a *= c_weight(x - t, regime)
+    for w in site_weights(c_weight, t, lattice, regime):
+        a *= w
     return a
 
 

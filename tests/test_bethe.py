@@ -1,16 +1,20 @@
+import cmath
+
 import numpy as np
 import pytest
 
 from sixvertex import bethe
 from sixvertex import vertex_model as vm
 from sixvertex.errors import (
+    DegenerateParametersError,
     DegenerateRootsError,
     PoleError,
     ProvenanceError,
+    SingularWeightError,
     SolverFailureError,
 )
 
-from conftest import RATIONAL, default_spectral_samples, make_lattice
+from conftest import RATIONAL, TRIG, default_spectral_samples, make_lattice
 
 CLOSED_LATTICE = vm.LatticeSpec(2, (0.0, 0.0))
 
@@ -211,9 +215,9 @@ def test_newton_jacobian_matches_central_differences(m, regime):
 
 
 def test_newton_step_evaluates_each_pair_weight_once(monkeypatch):
-    # Patching the names bethe imports counts only the pair tables and the
-    # Jacobian's site sum; vacuum_eigenvalue calls vertex_model's own c_weight.
-    counts = {"c": 0, "dlog_c": 0}
+    # Patching the names bethe imports counts the pair tables and the site
+    # weights; vacuum_eigenvalue calls vertex_model's own c_weight.
+    counts = {"c": 0, "kernel": 0}
     per_call = {"bae_residuals": [], "_newton_system": []}
 
     def counted(key, fn):
@@ -224,16 +228,25 @@ def test_newton_step_evaluates_each_pair_weight_once(monkeypatch):
 
     def tallied(name, fn):
         # weight evaluations of each call that returns (a colliding iterate
-        # raises in bae_residuals before any weight is evaluated)
-        def wrapper(*args):
+        # raises in bae_residuals before any weight is evaluated), and
+        # whether the lattice was the homogeneous start
+        def wrapper(q, lattice, regime):
             before = dict(counts)
-            out = fn(*args)
-            per_call[name].append((counts["c"] - before["c"], counts["dlog_c"] - before["dlog_c"]))
+            out = fn(q, lattice, regime)
+            per_call[name].append(
+                (
+                    len(set(lattice.xi)) == 1,
+                    counts["c"] - before["c"],
+                    counts["kernel"] - before["kernel"],
+                )
+            )
             return out
         return wrapper
 
     monkeypatch.setattr(bethe, "c_weight", counted("c", vm.c_weight))
-    monkeypatch.setattr(bethe, "log_c_derivative", counted("dlog_c", vm.log_c_derivative))
+    monkeypatch.setattr(
+        bethe, "c_and_log_derivative", counted("kernel", vm.c_and_log_derivative)
+    )
     for name in per_call:
         monkeypatch.setattr(bethe, name, tallied(name, getattr(bethe, name)))
     L, m = 6, 3
@@ -241,9 +254,145 @@ def test_newton_step_evaluates_each_pair_weight_once(monkeypatch):
     roots = bethe.solve_bethe_roots(m, lattice, RATIONAL, seed=2)
     assert roots.residual < 1e-12
     pairs = m * (m - 1)
-    assert per_call["_newton_system"]
-    assert set(per_call["bae_residuals"]) == {(pairs, 0)}
-    assert set(per_call["_newton_system"]) == {(pairs, pairs + m * L)}
+    assert {(c, k) for _, c, k in per_call["bae_residuals"]} == {(pairs, 0)}
+    # one kernel call per ordered pair, plus one per root and run of equal
+    # sites: a single run at the homogeneous start, L runs on the legs
+    assert set(per_call["_newton_system"]) == {(True, 0, pairs + m), (False, 0, pairs + m * L)}
+
+
+def reference_log_c_derivative(t, regime):
+    """d/dt log c(t) evaluated on its own: the reference for the kernel's second value."""
+    num = regime.phi(t)
+    den = regime.phi(t + regime.eta)
+    if abs(num) < vm.POLE_TOL or abs(den) < vm.POLE_TOL:
+        raise SingularWeightError(f"log-derivative of c at a zero/pole, t={t}")
+    return regime.phi_prime(t) / num - regime.phi_prime(t + regime.eta) / den
+
+
+def reference_vacuum_eigenvalue(t, lattice, regime):
+    """a(t) = prod_i c(xi_i - t), one weight call per site."""
+    a = 1.0 + 0.0j
+    for x in lattice.xi:
+        a *= vm.c_weight(x - t, regime)
+    return a
+
+
+def reference_newton_system(q, lattice, regime):
+    """The Newton system from one table per weight and one call per site and weight."""
+    m = len(q)
+    c = bethe._pair_table(vm.c_weight, q, regime)
+    dlog_c = bethe._pair_table(reference_log_c_derivative, q, regime)
+    r = np.empty(m, dtype=complex)
+    jac = np.zeros((m, m), dtype=complex)
+    for i, qi in enumerate(q):
+        ratio = reference_vacuum_eigenvalue(qi, lattice, regime)
+        diag = -sum(reference_log_c_derivative(x - qi, regime) for x in lattice.xi)
+        for a in range(m):
+            if a == i:
+                continue
+            ratio *= c[i][a] / c[a][i]
+            pair = dlog_c[i][a] + dlog_c[a][i]
+            diag += pair
+            jac[i, a] = -pair
+        r[i] = cmath.log(ratio)
+        jac[i, i] = diag
+    return r, jac
+
+
+def bits(z):
+    """Type and exact bit pattern of a complex scalar, signed zeros included."""
+    return type(z), complex(z).real.hex(), complex(z).imag.hex()
+
+
+def oracle_lattices(regime):
+    """Homogeneous, generic, and repeated-but-not-adjacent (xi_1 = xi_3) chains."""
+    generic = make_lattice(5, regime, seed=40)
+    center = sum(generic.xi) / 5
+    repeated = list(make_lattice(5, regime, seed=41).xi)
+    repeated[2] = repeated[0]
+    return {
+        "homogeneous": vm.LatticeSpec(5, (center,) * 5),
+        "generic": generic,
+        "repeated": vm.LatticeSpec(5, tuple(repeated)),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_newton_system_matches_two_table_reference_bit_for_bit(m, regime):
+    rng = np.random.default_rng(200 + m)
+    for name, lattice in oracle_lattices(regime).items():
+        for trial in range(3):
+            q = off_shell_roots(m, lattice, regime, rng)
+            assert q.dtype == np.complex128
+            r, jac = bethe._newton_system(q, lattice, regime)
+            r_ref, jac_ref = reference_newton_system(q, lattice, regime)
+            assert r.tobytes() == r_ref.tobytes(), (name, trial)
+            assert jac.tobytes() == jac_ref.tobytes(), (name, trial)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_newton_system_raises_where_reference_raises(m, regime):
+    # Iterates on a zero or pole of a site weight, and (m > 1) of a pair weight.
+    rng = np.random.default_rng(300 + m)
+    eta = regime.eta
+    for lattice in oracle_lattices(regime).values():
+        base = off_shell_roots(m, lattice, regime, rng)
+        moves = [(0, lattice.xi[1]), (0, lattice.xi[1] + eta)]
+        if m > 1:
+            moves += [(1, base[0]), (1, base[0] + eta)]
+        for index, value in moves:
+            q = base.copy()
+            q[index] = value
+            with pytest.raises(SingularWeightError):
+                reference_newton_system(q, lattice, regime)
+            with pytest.raises(SingularWeightError):
+                bethe._newton_system(q, lattice, regime)
+
+
+def test_kernel_matches_separate_weights_bit_for_bit(regime):
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        t = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        for arg in (t, np.complex128(t)):
+            c, dlog = vm.c_and_log_derivative(arg, regime)
+            assert bits(c) == bits(vm.c_weight(arg, regime))
+            assert bits(dlog) == bits(reference_log_c_derivative(arg, regime))
+
+
+def test_kernel_raises_at_zero_and_pole(regime):
+    for t in (0.0, -regime.eta):
+        with pytest.raises(SingularWeightError):
+            vm.c_and_log_derivative(t, regime)
+
+
+# (family, L, lattice seed, M): three solves that converge, and the pinned
+# rational stall below, whose message and trace must repeat too.
+IDENTITY_SOLVES = [
+    ("rational", 6, 2, 3),
+    ("trigonometric", 5, 3, 2),
+    ("trigonometric", 7, 1, 3),
+    ("rational", 7, 4, 2),
+]
+
+
+def solve_outcome(family, L, seed, m):
+    regime = RATIONAL if family == "rational" else TRIG
+    lattice = make_lattice(L, regime, seed=seed)
+    try:
+        roots = bethe.solve_bethe_roots(m, lattice, regime, seed=seed)
+    except SolverFailureError as exc:
+        return ("failed", str(exc), list(exc.trace))
+    return ("solved", repr((roots.q, roots.residual)))
+
+
+@pytest.mark.parametrize("case", IDENTITY_SOLVES, ids=lambda c: "-".join(map(str, c)))
+def test_solver_outputs_match_reference_system(case, monkeypatch):
+    got = solve_outcome(*case)
+    monkeypatch.setattr(bethe, "_newton_system", reference_newton_system)
+    monkeypatch.setattr(bethe, "vacuum_eigenvalue", reference_vacuum_eigenvalue)
+    want = solve_outcome(*case)
+    assert got == want
+    assert got[0] == ("failed" if case == ("rational", 7, 4, 2) else "solved")
 
 
 # Solves of the seeded sweep that stall, as (family, L, lattice seed, M).  The
@@ -268,3 +417,26 @@ def test_seeded_solver_sweep(L, regime):
             assert roots.residual < 1e-12
             assert float(np.max(bethe.bae_residuals(roots.q, lattice, regime))) < 1e-12
     assert stalls == {case for case in KNOWN_STALLS if case[:2] == (regime.family, L)}
+
+
+# (family, L, lattice seed) of the slow sweep that draw no lattice:
+# random_lattice spends all its tries on trigonometric L=9 at seed 10.
+NO_LATTICE = {("trigonometric", 9, 10)}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("L", [4, 5, 6, 7, 8, 9])
+def test_wide_seeded_solver_sweep(L, regime):
+    # Lattice seeds 10-29 at every M <= L/2; no solve may fail.
+    missing = set()
+    for seed in range(10, 30):
+        try:
+            lattice = make_lattice(L, regime, seed=seed)
+        except DegenerateParametersError:
+            missing.add((regime.family, L, seed))
+            continue
+        for m in range(1, L // 2 + 1):
+            roots = bethe.solve_bethe_roots(m, lattice, regime, seed=seed)
+            assert roots.residual < 1e-12
+            assert float(np.max(bethe.bae_residuals(roots.q, lattice, regime))) < 1e-12
+    assert missing == {case for case in NO_LATTICE if case[:2] == (regime.family, L)}

@@ -132,6 +132,45 @@ def test_parse_rejects_bad_tolerance():
         parse_config_text("tolerance: -1\n")
 
 
+# Non-finite values the parser reads as numbers: nan failed every check,
+# inf passed every finite residual, eta nan spent every lattice draw and a
+# nan site passed two checks with residual 0.
+NON_FINITE_CONFIGS = [
+    ("tolerance: nan\n", "tolerance must be finite and positive"),
+    ("tolerance: inf\n", "tolerance must be finite and positive"),
+    ("eta: nan\n", "eta must be finite"),
+    ("eta: inf\n", "eta must be finite"),
+    ("eta: 1+nanj\n", "eta must be finite"),
+    ("L: 4\nM: 1\nxi: nan, 0.1, 0.5, 0.9\n", "explicit xi list must be finite"),
+    ("L: 4\nM: 1\nxi: 0.1, inf, 0.5, 0.9\n", "explicit xi list must be finite"),
+]
+
+
+@pytest.mark.parametrize("text, message", NON_FINITE_CONFIGS)
+def test_parse_rejects_non_finite_values(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("text, message", NON_FINITE_CONFIGS)
+def test_cli_verify_rejects_non_finite_values(tmp_path, capsys, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--output-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_tolerance_override(tmp_path, capsys, small_config, value):
+    out_dir = tmp_path / "out"
+    argv = ["verify", "--config", str(small_config), "--output-dir", str(out_dir)]
+    assert main(argv + ["--tolerance", value]) == 2
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_load_missing_config():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/run.cfg")

@@ -90,6 +90,43 @@ def test_regime_rejects_vanishing_phi_eta():
         vm.Regime("trigonometric", math.pi)
 
 
+@pytest.mark.parametrize("family", vm.FAMILIES)
+@pytest.mark.parametrize("eta", [math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.5)])
+def test_regime_rejects_non_finite_eta(family, eta):
+    with pytest.raises(ValueError, match="eta must be finite"):
+        vm.Regime(family, eta)
+
+
+def test_site_runs_group_bit_identical_neighbours_only():
+    a, b = 0.3 + 0.2j, -0.4 + 0.1j
+    assert vm.LatticeSpec(4, (a,) * 4).site_runs == ((a, 4),)
+    assert vm.LatticeSpec(5, (a, b, a, a, b)).site_runs == ((a, 1), (b, 1), (a, 2), (b, 1))
+    # 0.0 == -0.0, but x - t can differ in the sign of a zero, so no run
+    signed = vm.LatticeSpec(2, (complex(0.0, 0.5), complex(-0.0, 0.5)))
+    assert len(signed.site_runs) == 2
+    nan = complex(math.nan, 0.0)
+    assert len(vm.LatticeSpec(2, (nan, nan)).site_runs) == 2
+
+
+def test_vacuum_eigenvalue_with_runs_matches_per_site_product_bit_for_bit(regime):
+    generic = make_lattice(5, regime, seed=3)
+    xi = list(generic.xi)
+    xi[2] = xi[0]
+    xi[4] = xi[3]
+    lattices = [generic, vm.LatticeSpec(5, (xi[1],) * 5), vm.LatticeSpec(5, tuple(xi))]
+    rng = np.random.default_rng(5)
+    for lattice in lattices:
+        for _ in range(20):
+            t = vm.random_spectral_point(lattice, regime, rng)
+            for arg in (t, np.complex128(t)):
+                want = 1.0 + 0.0j
+                for x in lattice.xi:
+                    want *= vm.c_weight(x - arg, regime)
+                got = vm.vacuum_eigenvalue(arg, lattice, regime)
+                assert type(got) is type(want)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def test_s_matrix_at_equal_arguments_is_permutation(regime):
     s = vm.s_matrix(0.37 + 0.1j, 0.37 + 0.1j, regime)
     assert tc.max_abs_diff(s, PERMUTATION_GATE) < 1e-15
