@@ -29,12 +29,10 @@ from .vertex_model import (
     LatticeSpec,
     Regime,
     c_and_log_derivative,
-    c_weight,
     monodromy_entries,
     site_weights,
     transfer_eigenvalue,
     transfer_matrix,
-    vacuum_eigenvalue,
 )
 
 ROOT_SEPARATION = 1e-8
@@ -98,53 +96,49 @@ def _pair_table(weight, q, regime: Regime) -> list[list]:
     return table
 
 
-def bae_residuals(q, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
-    """Per-root residual |a(q_i) - prod_{a != i} c(q_a - q_i) / c(q_i - q_a)|."""
-    q = tuple(complex(v) for v in q)
-    if not q:
-        return np.zeros(0)
-    _require_separated(q, regime)
-    c = _pair_table(c_weight, q, regime)
-    out = np.empty(len(q))
-    for i, qi in enumerate(q):
-        rhs = 1.0 + 0.0j
-        for a in range(len(q)):
-            if a != i:
-                rhs *= c[a][i] / c[i][a]
-        out[i] = abs(vacuum_eigenvalue(qi, lattice, regime) - rhs)
-    return out
+def _bethe_system(q, lattice: LatticeSpec, regime: Regime):
+    """Residuals, log-ratio r and its Jacobian (the Gaudin matrix) at q.
 
-
-def _newton_system(q, lattice, regime):
-    """Log-ratio r and its Jacobian (the Gaudin matrix) at the iterate q.
-
-    r_i is the principal log of a(q_i) * prod_{a != i} c(q_i - q_a) / c(q_a - q_i).
-    Each pair and each run of equal sites evaluates c and its log-derivative
-    once, in one ``c_and_log_derivative`` call.
+    One ``c_and_log_derivative`` table per ordered root pair and one per root
+    and run of equal sites feed all three, in the number type of q.  The
+    residual |a(q_i) - prod_{a != i} c(q_a - q_i) / c(q_i - q_a)| and r_i, the
+    principal log of a(q_i) * prod_{a != i} c(q_i - q_a) / c(q_a - q_i), keep
+    their own products: the two round differently.
     """
+    _require_separated(q, regime)
     m = len(q)
     pairs = _pair_table(c_and_log_derivative, q, regime)
+    residuals = np.empty(m)
     r = np.empty(m, dtype=complex)
     jac = np.zeros((m, m), dtype=complex)
     for i, qi in enumerate(q):
         sites = site_weights(c_and_log_derivative, qi, lattice, regime)
-        # a(q_i) = prod_x c(x - q_i), multiplied up as vacuum_eigenvalue does
-        ratio = 1.0 + 0.0j
+        # a(q_i) = prod_x c(x - q_i), multiplied up site by site in chain order
+        a_i = 1.0 + 0.0j
         for c_site, _ in sites:
-            ratio *= c_site
+            a_i *= c_site
+        rhs = 1.0 + 0.0j
+        ratio = a_i
         diag = -sum(dlog_site for _, dlog_site in sites)
         for a in range(m):
             if a == i:
                 continue
             c_ia, dlog_ia = pairs[i][a]
             c_ai, dlog_ai = pairs[a][i]
+            rhs *= c_ai / c_ia
             ratio *= c_ia / c_ai
             pair = dlog_ia + dlog_ai
             diag += pair
             jac[i, a] = -pair
+        residuals[i] = abs(a_i - rhs)
         r[i] = cmath.log(ratio)
         jac[i, i] = diag
-    return r, jac
+    return residuals, r, jac
+
+
+def bae_residuals(q, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
+    """Residual |a(q_i) - prod_{a != i} c(q_a - q_i) / c(q_i - q_a)| per root, in Python complex."""
+    return _bethe_system(tuple(complex(v) for v in q), lattice, regime)[0]
 
 
 def _newton(q0, lattice, regime, tol):
@@ -154,10 +148,10 @@ def _newton(q0, lattice, regime, tol):
         # SingularWeightError, LinAlgError, log of zero: all ValueErrors)
         # fails the attempt.
         try:
-            res = float(np.max(bae_residuals(q, lattice, regime)))
+            residuals, r, jac = _bethe_system(q, lattice, regime)
+            res = float(np.max(residuals))
             if res < tol or iteration == MAX_NEWTON_ITER:
                 return q, res, res < tol
-            r, jac = _newton_system(q, lattice, regime)
             step = np.linalg.solve(jac, -r)
         except ValueError:
             return q, np.inf, False
@@ -343,6 +337,9 @@ def roots_from_text(text: str) -> BetheRoots:
             parsed[key] = parse(fields[key])
         except ValueError as exc:
             raise ProvenanceError(f"roots document: bad value for {key!r}: {exc}") from exc
+    for key in ("eta", "xi", "q", "residual"):
+        if not np.all(np.isfinite(parsed[key])):
+            raise ProvenanceError(f"roots document: {key!r} must be finite, got {fields[key]}")
     if len(parsed["xi"]) != parsed["L"] or len(parsed["q"]) != parsed["M"]:
         raise ProvenanceError("roots document length fields disagree with lists")
     return BetheRoots(

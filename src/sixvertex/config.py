@@ -61,8 +61,9 @@ class RunConfig:
             )
         if self.xi is not None and not np.all(np.isfinite(self.xi)):
             raise ConfigError(f"explicit xi list must be finite, got {self.xi}")
-        if self.perm_cap < 1:
-            raise ConfigError("perm_cap must be at least 1")
+        # dwbc_sum_vs_recurrence sums at M=2 and the wave table at the configured M
+        if self.perm_cap < max(2, self.magnons):
+            raise ConfigError(f"perm_cap={self.perm_cap} must be at least max(2, M={self.magnons})")
         object.__setattr__(self, "eta", complex(self.eta))
         if self.xi is not None:
             object.__setattr__(self, "xi", tuple(complex(x) for x in self.xi))

@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,36 @@ def test_roots_text_rejects_inconsistent_counts():
         bethe.roots_from_text(text)
 
 
+# Roots-document lines with a non-finite value, and the field each must name.
+# A nan or inf root used to reach the wave-table oracle and exit 1 with a
+# traceback; a nan residual was accepted; a nan eta read as a lattice mismatch.
+NON_FINITE_ROOTS = [
+    ("q: nan", "q"),
+    ("q: inf", "q"),
+    ("residual: nan", "residual"),
+    ("residual: inf", "residual"),
+    ("eta: nan", "eta"),
+    ("eta: (1+infj)", "eta"),
+    ("xi: (0j), nan", "xi"),
+]
+CLOSED_ROOTS_TEXT = (
+    "regime: rational\neta: (1+0j)\nL: 2\nM: 1\nxi: (0j), (0j)\nq: (0.5+0j)\nresidual: 0.0\n"
+)
+
+
+@pytest.mark.parametrize("line, field", NON_FINITE_ROOTS)
+def test_roots_text_rejects_non_finite_values(line, field):
+    key = line.partition(":")[0]
+    text = "".join(
+        line + "\n" if row.startswith(key + ":") else row + "\n"
+        for row in CLOSED_ROOTS_TEXT.splitlines()
+    )
+    assert text != CLOSED_ROOTS_TEXT
+    with pytest.raises(ProvenanceError, match=f"'{field}' must be finite"):
+        bethe.roots_from_text(text)
+    assert bethe.roots_from_text(CLOSED_ROOTS_TEXT).q == (0.5,)
+
+
 def test_roots_provenance_mismatch(regime):
     lattice = make_lattice(3, regime, seed=20)
     other = make_lattice(3, regime, seed=21)
@@ -202,23 +233,25 @@ def test_newton_jacobian_matches_central_differences(m, regime):
     for trial in range(3):
         lattice = make_lattice(5, regime, seed=30 + 3 * m + trial)
         q = off_shell_roots(m, lattice, regime, rng)
-        _, jac = bethe._newton_system(q, lattice, regime)
+        _, _, jac = bethe._bethe_system(q, lattice, regime)
         scale = float(np.max(np.abs(jac)))
         for a in range(m):
             step = np.zeros(m, dtype=complex)
             step[a] = h
-            plus, _ = bethe._newton_system(q + step, lattice, regime)
-            minus, _ = bethe._newton_system(q - step, lattice, regime)
+            _, plus, _ = bethe._bethe_system(q + step, lattice, regime)
+            _, minus, _ = bethe._bethe_system(q - step, lattice, regime)
             # exp/log folds a principal-branch jump of the log-ratio back
             column = np.log(np.exp(plus - minus)) / (2 * h)
             assert float(np.max(np.abs(column - jac[:, a]))) < 1e-6 * scale
 
 
 def test_newton_step_evaluates_each_pair_weight_once(monkeypatch):
-    # Patching the names bethe imports counts the pair tables and the site
-    # weights; vacuum_eigenvalue calls vertex_model's own c_weight.
-    counts = {"c": 0, "kernel": 0}
-    per_call = {"bae_residuals": [], "_newton_system": []}
+    # Patching the kernel name bethe imports counts its pair and site tables;
+    # patching vertex_model's c_weight catches any a(q) taken through
+    # vacuum_eigenvalue, which calls it once per site.
+    counts = {"c": 0, "kernel": 0, "system": 0, "solve": 0, "public": 0}
+    evaluations = []  # (homogeneous lattice, kernel calls) per returning system
+    newton_runs = []  # (system evaluations, linear solves) per _newton call
 
     def counted(key, fn):
         def wrapper(*args):
@@ -226,38 +259,46 @@ def test_newton_step_evaluates_each_pair_weight_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    def tallied(name, fn):
-        # weight evaluations of each call that returns (a colliding iterate
-        # raises in bae_residuals before any weight is evaluated), and
-        # whether the lattice was the homogeneous start
-        def wrapper(q, lattice, regime):
-            before = dict(counts)
-            out = fn(q, lattice, regime)
-            per_call[name].append(
-                (
-                    len(set(lattice.xi)) == 1,
-                    counts["c"] - before["c"],
-                    counts["kernel"] - before["kernel"],
-                )
-            )
-            return out
-        return wrapper
+    def tallied_system(q, lattice, regime):
+        # a colliding iterate raises before any weight is evaluated
+        counts["system"] += 1
+        before = counts["kernel"]
+        out = system(q, lattice, regime)
+        evaluations.append((len(set(lattice.xi)) == 1, counts["kernel"] - before))
+        return out
 
-    monkeypatch.setattr(bethe, "c_weight", counted("c", vm.c_weight))
+    def tallied_newton(*args, **kwargs):
+        before = dict(counts)
+        out = newton(*args, **kwargs)
+        newton_runs.append(
+            (counts["system"] - before["system"], counts["solve"] - before["solve"])
+        )
+        return out
+
+    system, newton = bethe._bethe_system, bethe._newton
+    monkeypatch.setattr(vm, "c_weight", counted("c", vm.c_weight))
     monkeypatch.setattr(
         bethe, "c_and_log_derivative", counted("kernel", vm.c_and_log_derivative)
     )
-    for name in per_call:
-        monkeypatch.setattr(bethe, name, tallied(name, getattr(bethe, name)))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(bethe, "bae_residuals", counted("public", bethe.bae_residuals))
+    monkeypatch.setattr(bethe, "_bethe_system", tallied_system)
+    monkeypatch.setattr(bethe, "_newton", tallied_newton)
     L, m = 6, 3
     lattice = make_lattice(L, RATIONAL, seed=2)
     roots = bethe.solve_bethe_roots(m, lattice, RATIONAL, seed=2)
     assert roots.residual < 1e-12
-    pairs = m * (m - 1)
-    assert {(c, k) for _, c, k in per_call["bae_residuals"]} == {(pairs, 0)}
+    assert not hasattr(bethe, "c_weight") and not hasattr(bethe, "vacuum_eigenvalue")
+    assert counts["c"] == 0
+    # the public residual runs once, on the solved roots; every Newton
+    # iterate is one evaluation, followed by one linear solve unless it ends
+    # the run
+    assert counts["public"] == 1
+    assert newton_runs and all(n - k in (0, 1) for n, k in newton_runs)
     # one kernel call per ordered pair, plus one per root and run of equal
     # sites: a single run at the homogeneous start, L runs on the legs
-    assert set(per_call["_newton_system"]) == {(True, 0, pairs + m), (False, 0, pairs + m * L)}
+    pairs = m * (m - 1)
+    assert set(evaluations) == {(True, pairs + m), (False, pairs + m * L)}
 
 
 def reference_log_c_derivative(t, regime):
@@ -299,6 +340,45 @@ def reference_newton_system(q, lattice, regime):
     return r, jac
 
 
+def reference_residuals(q, lattice, regime):
+    """The residual from its own c table and a per-site a(q_i), in q's number type."""
+    bethe._require_separated(q, regime)
+    c = bethe._pair_table(vm.c_weight, q, regime)
+    out = np.empty(len(q))
+    for i, qi in enumerate(q):
+        rhs = 1.0 + 0.0j
+        for a in range(len(q)):
+            if a != i:
+                rhs *= c[a][i] / c[i][a]
+        out[i] = abs(reference_vacuum_eigenvalue(qi, lattice, regime) - rhs)
+    return out
+
+
+def reference_public_residuals(q, lattice, regime):
+    return reference_residuals(tuple(complex(v) for v in q), lattice, regime)
+
+
+def reference_newton(q0, lattice, regime, tol):
+    """The Newton loop that evaluates the Bethe equations twice per iterate:
+    the residual on Python complex roots, then the two-table system."""
+    q = np.asarray(q0, dtype=complex).copy()
+    for iteration in range(bethe.MAX_NEWTON_ITER + 1):
+        try:
+            res = float(np.max(reference_public_residuals(q, lattice, regime)))
+            if res < tol or iteration == bethe.MAX_NEWTON_ITER:
+                return q, res, res < tol
+            r, jac = reference_newton_system(q, lattice, regime)
+            step = np.linalg.solve(jac, -r)
+        except ValueError:
+            return q, np.inf, False
+        if not np.all(np.isfinite(step)):
+            return q, np.inf, False
+        scale = float(np.max(np.abs(step)))
+        if scale > 1.0:
+            step = step / scale
+        q = q + step
+
+
 def bits(z):
     """Type and exact bit pattern of a complex scalar, signed zeros included."""
     return type(z), complex(z).real.hex(), complex(z).imag.hex()
@@ -324,15 +404,22 @@ def test_newton_system_matches_two_table_reference_bit_for_bit(m, regime):
         for trial in range(3):
             q = off_shell_roots(m, lattice, regime, rng)
             assert q.dtype == np.complex128
-            r, jac = bethe._newton_system(q, lattice, regime)
+            residuals, r, jac = bethe._bethe_system(q, lattice, regime)
             r_ref, jac_ref = reference_newton_system(q, lattice, regime)
             assert r.tobytes() == r_ref.tobytes(), (name, trial)
             assert jac.tobytes() == jac_ref.tobytes(), (name, trial)
+            # the residual in the iterate's number type, as the solver reads it
+            assert residuals.tobytes() == reference_residuals(q, lattice, regime).tobytes()
+            # and on Python complex roots, as BetheRoots.residual stores it
+            public = bethe.bae_residuals(q, lattice, regime)
+            assert public.tobytes() == reference_public_residuals(q, lattice, regime).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_newton_system_raises_where_reference_raises(m, regime):
-    # Iterates on a zero or pole of a site weight, and (m > 1) of a pair weight.
+    # Iterates on a zero or pole of a site weight, and (m > 1) on a collision
+    # or a pole of a pair weight.  The reference raises in its residual or
+    # in its Newton system, whichever comes first.
     rng = np.random.default_rng(300 + m)
     eta = regime.eta
     for lattice in oracle_lattices(regime).values():
@@ -343,10 +430,24 @@ def test_newton_system_raises_where_reference_raises(m, regime):
         for index, value in moves:
             q = base.copy()
             q[index] = value
-            with pytest.raises(SingularWeightError):
+            with pytest.raises(ValueError) as want:
+                reference_residuals(q, lattice, regime)
                 reference_newton_system(q, lattice, regime)
-            with pytest.raises(SingularWeightError):
-                bethe._newton_system(q, lattice, regime)
+            with pytest.raises(want.type):
+                bethe._bethe_system(q, lattice, regime)
+            with pytest.raises(want.type):
+                bethe.bae_residuals(q, lattice, regime)
+            assert want.type in (SingularWeightError, DegenerateRootsError)
+
+
+def test_bae_residuals_raise_for_a_root_on_a_site(regime):
+    # a(q) vanishes there, and the Newton system's log-derivative has a pole
+    lattice = make_lattice(4, regime, seed=9)
+    q = list(off_shell_roots(2, lattice, regime, np.random.default_rng(9)))
+    assert bethe.bae_residuals(q, lattice, regime).shape == (2,)
+    q[1] = lattice.xi[2]
+    with pytest.raises(SingularWeightError):
+        bethe.bae_residuals(q, lattice, regime)
 
 
 def test_kernel_matches_separate_weights_bit_for_bit(regime):
@@ -375,21 +476,30 @@ IDENTITY_SOLVES = [
 ]
 
 
+# A "(res 2.73e-15)" field of a solver trace.
+TRACE_RESIDUAL = re.compile(r"\(res [^)]*\)")
+
+
 def solve_outcome(family, L, seed, m):
     regime = RATIONAL if family == "rational" else TRIG
     lattice = make_lattice(L, regime, seed=seed)
     try:
         roots = bethe.solve_bethe_roots(m, lattice, regime, seed=seed)
     except SolverFailureError as exc:
-        return ("failed", str(exc), list(exc.trace))
+        return ("failed", str(exc), [TRACE_RESIDUAL.sub("(res *)", line) for line in exc.trace])
     return ("solved", repr((roots.q, roots.residual)))
 
 
 @pytest.mark.parametrize("case", IDENTITY_SOLVES, ids=lambda c: "-".join(map(str, c)))
 def test_solver_outputs_match_reference_system(case, monkeypatch):
+    # The trace's "(res ...)" fields are masked: the solver's convergence test
+    # reads the residual on the np.complex128 iterate, the reference's on
+    # Python complex roots, and the two round apart in the last bits (the
+    # stall's homogeneous start logs 2.68e-15 against 2.73e-15).  Roots,
+    # stored residual, message and every other trace field must repeat.
     got = solve_outcome(*case)
-    monkeypatch.setattr(bethe, "_newton_system", reference_newton_system)
-    monkeypatch.setattr(bethe, "vacuum_eigenvalue", reference_vacuum_eigenvalue)
+    monkeypatch.setattr(bethe, "_newton", reference_newton)
+    monkeypatch.setattr(bethe, "bae_residuals", reference_public_residuals)
     want = solve_outcome(*case)
     assert got == want
     assert got[0] == ("failed" if case == ("rational", 7, 4, 2) else "solved")

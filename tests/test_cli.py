@@ -329,6 +329,75 @@ def test_cli_wavefunction_provenance_mismatch(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pattern, line, field",
+    [
+        (r"^q: .*$", "q: nan", "'q' must be finite"),
+        (r"^q: .*$", "q: inf", "'q' must be finite"),
+        (r"^residual: .*$", "residual: nan", "'residual' must be finite"),
+        (r"^eta: .*$", "eta: nan", "'eta' must be finite"),
+        (r"^xi: .*$", "xi: (0j), (nan+0j)", "'xi' must be finite"),
+    ],
+)
+def test_cli_wavefunction_rejects_non_finite_roots(tmp_path, capsys, pattern, line, field):
+    # a nan or inf root exited 1 with a traceback from the oracle table, a
+    # nan residual was accepted and a nan eta read as a lattice mismatch
+    cfg_path = tmp_path / "closed.cfg"
+    cfg_path.write_text("regime: rational\neta: 1\nL: 2\nM: 1\nxi: 0, 0\nseed: 3\n")
+    roots_path = tmp_path / "roots.txt"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(roots_path)]) == 0
+    roots_path.write_text(re.sub(pattern, line, roots_path.read_text(), flags=re.M))
+    wave_path = tmp_path / "wave.txt"
+    argv = ["wavefunction", "--config", str(cfg_path), "--roots", str(roots_path)]
+    assert main(argv + ["--out", str(wave_path)]) == 2
+    assert field in capsys.readouterr().err
+    assert not wave_path.exists()
+
+
+# perm_cap below max(2, M): dwbc_sum_vs_recurrence sums at M=2 and the
+# wave table at the configured M, so either failed by construction.
+SMALL_PERM_CAPS = [
+    ("M: 1\nperm_cap: 1\n", "perm_cap=1 must be at least max(2, M=1)"),
+    ("M: 0\nperm_cap: 1\n", "perm_cap=1 must be at least max(2, M=0)"),
+    ("L: 8\nM: 4\nperm_cap: 3\n", "perm_cap=3 must be at least max(2, M=4)"),
+]
+
+
+@pytest.mark.parametrize("text, message", SMALL_PERM_CAPS)
+def test_parse_rejects_perm_cap_below_the_sizes_it_must_sum(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text)
+
+
+def test_parse_accepts_the_smallest_perm_cap():
+    assert parse_config_text("M: 1\nperm_cap: 2\n").perm_cap == 2
+    assert parse_config_text("L: 8\nM: 4\nperm_cap: 4\n").perm_cap == 4
+
+
+@pytest.mark.parametrize("text, message", SMALL_PERM_CAPS)
+def test_cli_verify_rejects_small_perm_cap(tmp_path, capsys, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--output-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_wavefunction_rejects_perm_cap_below_m(tmp_path, capsys):
+    # the roots exist, but the formula table cannot be summed under the cap
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("L: 6\nM: 3\nxi: random\nseed: 3\n")
+    roots_path = tmp_path / "roots.txt"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(roots_path)]) == 0
+    cfg_path.write_text(cfg_path.read_text() + "perm_cap: 2\n")
+    wave_path = tmp_path / "wave.txt"
+    argv = ["wavefunction", "--config", str(cfg_path), "--roots", str(roots_path)]
+    assert main(argv + ["--out", str(wave_path)]) == 2
+    assert "perm_cap=2 must be at least max(2, M=3)" in capsys.readouterr().err
+    assert not wave_path.exists()
+
+
 def test_cli_dwbc_runs(capsys):
     assert main(["dwbc", "--m", "4", "--seed", "5"]) == 0
     captured = capsys.readouterr().out
