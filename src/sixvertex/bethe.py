@@ -221,7 +221,7 @@ def solve_bethe_roots(
                     + jitter_scale * complex(rng.normal(), rng.normal())
                     for k in branches
                 ]
-            except ZeroDivisionError:
+            except (ZeroDivisionError, ValueError):  # ValueError: atan's argument is +-i
                 continue
             q, res, ok = _newton(q0, lattice=homogeneous, regime=regime, tol=tol)
             if ok:

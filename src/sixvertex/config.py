@@ -49,6 +49,11 @@ class RunConfig:
         # The solver seeds M roots on distinct branches 1 .. L-1, so M = L has none.
         if not 0 <= self.magnons < self.length:
             raise ConfigError(f"M={self.magnons} must satisfy 0 <= M < L={self.length}")
+        # A rational sector M holds C(L, M) - C(L, M-1) regular root sets: none past L/2.
+        if self.family == "rational" and 2 * self.magnons > self.length:
+            raise ConfigError(f"rational M={self.magnons} must satisfy 2M <= L={self.length}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.tolerance is not None and not 0 < self.tolerance < np.inf:
             raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not np.isfinite(self.eta):

@@ -24,12 +24,10 @@ from .errors import DegenerateParametersError
 from .tensor_core import (
     apply_site_flips,
     apply_two_site_left,
-    flip_columns,
     identity_operator,
-    index_of_sites,
     max_abs_diff,
     probe_residual,
-    site_occupations,
+    site_axes,
     vacuum_state,
 )
 # Unused here; perfbench/selftest.py checks that tracing wraps this binding.
@@ -83,14 +81,15 @@ def apply_factorizer(order, block, lattice: LatticeSpec, regime: Regime) -> np.n
     and applies its tail gates, last first, to the rows where it is occupied.
     """
     L = lattice.length
-    bits = site_occupations(L)
-    out = np.array(block, dtype=complex)
+    out = np.array(block, dtype=complex, order="C")
     for pos in reversed(range(L)):
-        occupied = (bits[order[pos] - 1] == 1)[:, None]
-        part = np.where(occupied, out, 0)
+        sites = (order[pos],)
+        part = np.zeros_like(out)
+        site_axes(part, sites, L)[1] = site_axes(out, sites, L)[1]
         for gate, site_i, site_j in reversed(list(_tail_gates(order, pos, lattice, regime))):
             part = apply_two_site_left(part, gate, site_i, site_j, L)
-        out = np.where(occupied, 0, out) + part
+        site_axes(out, sites, L)[1] = 0
+        out += part
     return out
 
 
@@ -146,27 +145,25 @@ def diagonal_a(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
     """Diagonal of the closed-form image of A(t):
     prod_i [c(xi_i - t)(1 - n_i) + n_i] per basis state."""
     L = lattice.length
-    bits = site_occupations(L)
     diag = np.ones(1 << L, dtype=complex)
-    for i in range(L):
-        diag *= np.where(bits[i] == 1, 1.0, c_weight(lattice.xi[i] - t, regime))
+    for i in range(1, L + 1):
+        site_axes(diag, (i,), L)[0] *= c_weight(lattice.xi[i - 1] - t, regime)
     return diag
 
 
 def _flip_term(site, t, lattice, regime, factors):
     """Weight vector of a flip at ``site``: b(xi_site - t) times, on every
-    other site k (0-based), ``factors(k)`` = (occupied, empty) weight.
+    other site k (0-based), ``factors(k)`` = (empty, occupied) weight.
 
     The flip itself acts only on the columns where ``site`` has the state it
     flips; the entries of the other columns are weights it multiplies by 0.
     """
     L = lattice.length
-    bits = site_occupations(L)
     diag = np.full(1 << L, b_weight(lattice.xi[site - 1] - t, regime), dtype=complex)
     for k in range(L):
         if k != site - 1:
-            occupied, empty = factors(k)
-            diag *= np.where(bits[k] == 1, occupied, empty)
+            for view, weight in zip(site_axes(diag, (k + 1,), L), factors(k)):
+                view *= weight
     return diag
 
 
@@ -186,7 +183,7 @@ def site_creation(
     xi = lattice.xi
 
     def factors(k):
-        return 1.0, c_weight(xi[k] - t, regime) * c_weight_inv(xi[k] - xi[site - 1], regime)
+        return c_weight(xi[k] - t, regime) * c_weight_inv(xi[k] - xi[site - 1], regime), 1.0
 
     return _flip_term(site, t, lattice, regime, factors)
 
@@ -211,7 +208,7 @@ def quasilocal_c(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray
 
     def term(site):
         def factors(k):
-            return c_weight_inv(xi[site - 1] - xi[k], regime), c_weight(xi[k] - t, regime)
+            return c_weight(xi[k] - t, regime), c_weight_inv(xi[site - 1] - xi[k], regime)
 
         return _flip_term(site, t, lattice, regime, factors)
 
@@ -246,10 +243,10 @@ def commutation_residual(t: complex, t2: complex, lattice: LatticeSpec, regime: 
     a = diagonal_a(t2, lattice, regime)
     worst = 0.0
     for i in range(1, L + 1):
-        d_i = site_creation(i, t, lattice, regime)
+        d_i = site_axes(site_creation(i, t, lattice, regime), (i,), L)[0]
+        a_i = site_axes(a, (i,), L)
         scale = c_weight(lattice.xi[i - 1] - t2, regime)
-        x, raised = flip_columns(i, L)
-        worst = max(worst, max_abs_diff(d_i[x] * a[x], scale * (a[raised] * d_i[x])))
+        worst = max(worst, max_abs_diff(d_i * a_i[0], scale * (a_i[1] * d_i)))
     return worst
 
 
@@ -281,17 +278,16 @@ def exchange_residual(lattice: LatticeSpec, regime: Regime) -> float:
     """
     L = lattice.length
     creation = [site_creation(site, 0.0, lattice, regime) for site in range(1, L + 1)]
-    bits = site_occupations(L)
     worst = 0.0
     for site_i in range(1, L + 1):
         for site_j in range(1, L + 1):
             if site_i == site_j:
                 continue
-            d_i, d_j = creation[site_i - 1], creation[site_j - 1]
-            x = np.flatnonzero((bits[site_i - 1] | bits[site_j - 1]) == 0)
-            x_i, x_j = x | index_of_sites((site_i,), L), x | index_of_sites((site_j,), L)
+            # axes (site_i, site_j): [0, 0] is x, [1, 0] is x | i, [0, 1] is x | j
+            d_i = site_axes(creation[site_i - 1], (site_i, site_j), L)
+            d_j = site_axes(creation[site_j - 1], (site_i, site_j), L)
             ratio = exchange_ratio(site_i, site_j, lattice, regime)
-            worst = max(worst, max_abs_diff(d_i[x_j] * d_j[x], ratio * (d_j[x_i] * d_i[x])))
+            worst = max(worst, max_abs_diff(d_i[0, 1] * d_j[0, 0], ratio * (d_j[1, 0] * d_i[0, 0])))
     return worst
 
 
@@ -308,8 +304,8 @@ def f_matrix_element_residual(lattice: LatticeSpec, regime: Regime) -> float:
     L = lattice.length
     rho = probe_block(L)[:L]
     r = np.ones((1 << L, PROBES), dtype=complex)
-    for bits, rho_n in zip(site_occupations(L), rho):
-        r *= np.where(bits[:, None] == 1, rho_n, 1.0)
+    for site, rho_n in enumerate(rho, start=1):
+        site_axes(r, (site,), L)[1] *= rho_n
     lhs = apply_factorizer(tuple(range(1, L + 1)), r, lattice, regime)
     rhs = np.repeat(vacuum_state(L)[:, None], PROBES, axis=1)
     for n in range(L, 0, -1):

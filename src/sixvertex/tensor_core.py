@@ -4,13 +4,15 @@ Convention, fixed once for the whole package: a chain of ``L`` sites is
 indexed 1..L, site occupations are bits (1 = up-spin / particle), and the
 basis index of a configuration puts site 1 in the most significant bit.
 The all-empty configuration is index 0.  Operators are dense complex
-matrices with row = out-state and column = in-state.  ``apply_two_site_left``
-applies a two-site gate to a block of vectors without forming the dense
-``embed_two_site`` matrix, and ``apply_site_flips`` applies a weighted sum
-of single-site flips to a block of vectors without forming any operator.
+matrices with row = out-state and column = in-state.  Vector routes reach
+sites through ``site_axes``: ``apply_two_site_left`` applies a two-site gate
+to a block of vectors without forming ``embed_two_site``, ``apply_site_flips``
+a weighted sum of single-site flips without forming any operator.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -25,12 +27,6 @@ _GATES_1 = {
 
 def _bit_position(site: int, n_sites: int) -> int:
     return n_sites - site
-
-
-def site_occupations(n_sites: int) -> list[np.ndarray]:
-    """Per site (site 1 first), its occupation bit across every basis index."""
-    indices = np.arange(1 << n_sites)
-    return [(indices >> _bit_position(s, n_sites)) & 1 for s in range(1, n_sites + 1)]
 
 
 def index_of_sites(sites, n_sites: int) -> int:
@@ -92,7 +88,7 @@ def embed_two_site(gate, site_i: int, site_j: int, n_sites: int) -> np.ndarray:
 
     The gate is indexed in the order (|00>, |01>, |10>, |11>) with the first
     slot belonging to ``site_i``.  The dense embedding is the reference that
-    ``apply_two_site`` reproduces without building it.
+    ``apply_two_site_left`` reproduces without building it.
     """
     g = _two_site_gate(gate, site_i, site_j, n_sites)
     dim = 1 << n_sites
@@ -110,53 +106,54 @@ def embed_two_site(gate, site_i: int, site_j: int, n_sites: int) -> np.ndarray:
     return out
 
 
+def site_axes(array, sites, n_sites: int) -> np.ndarray:
+    """View of ``array`` with one length-2 occupation axis per listed site, in
+    the listed order, in front of its other axes: ``site_axes(v, (i,), L)[1]``
+    is v on the states where site i is occupied.  The blocks of unlisted sites
+    follow in site order, then the axes after the basis axis (axis 0).
+    Writes land in ``array`` only when it is C-contiguous."""
+    array = np.asarray(array)
+    if array.shape[:1] != (1 << n_sites,):
+        raise ValueError(f"array needs {1 << n_sites} rows, got shape {array.shape}")
+    shape, axes = _site_layout(tuple(sites), n_sites, array.ndim - 1)
+    return array.reshape(shape + array.shape[1:]).transpose(axes)
+
+
+@functools.lru_cache(maxsize=None)  # at desk scale, building it costs more than the view
+def _site_layout(sites: tuple, n_sites: int, n_tail: int) -> tuple[tuple, tuple]:
+    # Basis bits, most significant first: a block before each listed site, the
+    # site, and the block after the last one; then the site axes move first.
+    order = sorted(sites)
+    if len(set(order)) != len(order) or not all(1 <= s <= n_sites for s in order):
+        raise ValueError(f"sites {sites} must be distinct and in 1..{n_sites}")
+    shape, previous = [], 0
+    for s in order:
+        shape += [1 << (s - previous - 1), 2]
+        previous = s
+    shape.append(1 << (n_sites - previous))
+    front = [2 * order.index(s) + 1 for s in sites]
+    return tuple(shape), tuple(front + [a for a in range(len(shape) + n_tail) if a not in front])
+
+
 # Reorders a two-site gate's basis when its two slots trade places.
 _SLOT_SWAP = np.array([0, 2, 1, 3])
 
 
-def apply_two_site(op, gate, site_i: int, site_j: int, n_sites: int) -> np.ndarray:
-    """``op @ embed_two_site(gate, site_i, site_j, n_sites)``, no embedding built.
-
-    The two site axes of op's column index move last, in site order, and the
-    ``(rows * dim/4, 4)`` view is multiplied by the 4x4 gate: O(dim) work per
-    row instead of O(dim^2).  Where an output entry has two nonzero terms the
-    result may differ from the dense product in the last bits.
-    """
-    g = _two_site_gate(gate, site_i, site_j, n_sites)
-    if site_i > site_j:
-        site_i, site_j = site_j, site_i
-        g = g[np.ix_(_SLOT_SWAP, _SLOT_SWAP)]
-    op = np.asarray(op)
-    dim = 1 << n_sites
-    if op.ndim != 2 or op.shape[1] != dim:
-        raise ValueError(f"operator needs {dim} columns, got shape {op.shape}")
-    rows = op.shape[0]
-    # column bits, most significant first: before site_i, site_i, between, site_j, after
-    before, between = 1 << (site_i - 1), 1 << (site_j - site_i - 1)
-    after = 1 << (n_sites - site_j)
-    split = op.reshape(rows, before, 2, between, 2, after).transpose(0, 1, 3, 5, 2, 4)
-    out = split.reshape(-1, 4) @ g
-    out = out.reshape(rows, before, between, after, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-    return out.reshape(rows, dim)
-
-
 def apply_two_site_left(block, gate, site_i: int, site_j: int, n_sites: int) -> np.ndarray:
     """``embed_two_site(gate, site_i, site_j, n_sites) @ block``, no embedding
-    built: the transpose of ``apply_two_site`` on the transposed block, since
-    a gate's embedding transposes to the embedding of its transpose."""
-    return apply_two_site(np.asarray(block).T, np.asarray(gate).T, site_i, site_j, n_sites).T
-
-
-def flip_columns(site: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices with ``site`` empty, and the same indices with it occupied.
-
-    A raise flip at ``site`` maps the first onto the second, a lower flip the
-    second onto the first.
-    """
-    if not 1 <= site <= n_sites:
-        raise ValueError(f"site {site} out of range 1..{n_sites}")
-    empty = np.flatnonzero(site_occupations(n_sites)[site - 1] == 0)
-    return empty, empty | (1 << _bit_position(site, n_sites))
+    built: the gate multiplies the (4, rest) matrix of the two sites' axes, in
+    site order, O(dim) work per column instead of O(dim^2).  Where an output
+    entry has two nonzero terms it may differ from the dense product in the
+    last bits."""
+    g = _two_site_gate(gate, site_i, site_j, n_sites)
+    if site_i > site_j:  # the gate's terms then sum in site order, as for site_i < site_j
+        site_i, site_j = site_j, site_i
+        g = g[_SLOT_SWAP][:, _SLOT_SWAP]
+    pair = site_axes(block, (site_i, site_j), n_sites)
+    product = g @ pair.reshape(4, -1)
+    out = np.empty(np.shape(block), dtype=complex)
+    site_axes(out, (site_i, site_j), n_sites)[...] = product.reshape(pair.shape)
+    return out
 
 
 def apply_site_flips(kind: str, weights, block) -> np.ndarray:
@@ -174,11 +171,12 @@ def apply_site_flips(kind: str, weights, block) -> np.ndarray:
     dim = 1 << n_sites
     if weights.shape != (n_sites, dim) or block.ndim != 2 or block.shape[0] != dim:
         raise ValueError(f"weights {weights.shape} and block {block.shape} do not match")
+    src, dst = (0, 1) if kind == "raise" else (1, 0)
     out = np.zeros(block.shape, dtype=complex)
     for site, w in enumerate(weights, start=1):
-        empty, occupied = flip_columns(site, n_sites)
-        src, dst = (empty, occupied) if kind == "raise" else (occupied, empty)
-        out[dst] += w[src, None] * block[src]
+        w_src = site_axes(w, (site,), n_sites)[src]
+        block_src = site_axes(block, (site,), n_sites)[src]
+        site_axes(out, (site,), n_sites)[dst] += w_src[..., None] * block_src
     return out
 
 

@@ -19,6 +19,13 @@ from sixvertex import tensor_core as tc
 from sixvertex import vertex_model as vm
 
 
+def site_occupations(n_sites):
+    """Per site (site 1 first), its occupation bit across every basis index:
+    the bit-index oracle that ``tensor_core.site_axes`` is checked against."""
+    indices = np.arange(1 << n_sites)
+    return [(indices >> tc._bit_position(s, n_sites)) & 1 for s in range(1, n_sites + 1)]
+
+
 def assert_close_to_dense(got, dense):
     """The gate routes agree with a dense product to 1e-14 of its scale."""
     bound = 1e-14 * max(1.0, float(np.max(np.abs(dense))))
@@ -60,7 +67,7 @@ def tail_columns(f, site):
     the identity order) maps the second block onto the first.
     """
     L = f.shape[0].bit_length() - 1
-    bits = tc.site_occupations(L)
+    bits = site_occupations(L)
     x = np.flatnonzero(np.all([bits[k] == 0 for k in range(site)], axis=0))
     raised = x | tc.index_of_sites((site,), L)
     return f[:, raised], tc.site_operator("raise", site, L) @ f[:, x]

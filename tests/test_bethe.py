@@ -466,6 +466,41 @@ def test_kernel_raises_at_zero_and_pole(regime):
             vm.c_and_log_derivative(t, regime)
 
 
+# Trigonometric roots of unity (eta, L, M) where rounding puts the atan
+# argument of a decoupled seed exactly on +-i.
+ROOT_OF_UNITY_SOLVES = [
+    (cmath.pi / 2, 4, 1),
+    (cmath.pi / 2, 8, 2),
+    (cmath.pi / 2, 8, 3),
+    (cmath.pi / 3, 6, 1),
+    (cmath.pi / 3, 6, 2),
+    (cmath.pi / 3, 6, 3),
+]
+
+
+@pytest.mark.parametrize("eta, L", [(cmath.pi / 2, 4), (cmath.pi / 3, 6)], ids=["pi/2", "pi/3"])
+def test_decoupled_seed_meets_a_pole_of_atan(eta, L):
+    # the branch the solver must skip like a zero denominator
+    regime = vm.Regime("trigonometric", eta)
+    with pytest.raises(ValueError, match="math domain error"):
+        bethe._decoupled_seed(1, L, 0.0, regime)
+
+
+@pytest.mark.parametrize(
+    "eta, L, m", ROOT_OF_UNITY_SOLVES, ids=lambda v: f"{v:.4f}" if isinstance(v, float) else str(v)
+)
+def test_root_of_unity_solve_gives_roots_or_a_typed_failure(eta, L, m):
+    # the lattice and solver seed of run_verify at seed 7
+    regime = vm.Regime("trigonometric", eta)
+    lattice = make_lattice(L, regime, seed=7)
+    try:
+        roots = bethe.solve_bethe_roots(m, lattice, regime, seed=7)
+    except SolverFailureError:
+        return
+    assert len(roots.q) == m and roots.residual < 1e-12
+    assert float(np.max(bethe.bae_residuals(roots.q, lattice, regime))) < 1e-12
+
+
 # (family, L, lattice seed, M): three solves that converge, and the pinned
 # rational stall below, whose message and trace must repeat too.
 IDENTITY_SOLVES = [

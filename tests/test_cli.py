@@ -69,6 +69,51 @@ def test_cli_verify_rejects_m_equal_to_l(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("text", ["L: 3\nM: 2\n", "L: 5\nM: 3\n", "L: 8\nM: 5\n"])
+def test_parse_rejects_rational_m_above_half_l(text):
+    # a rational sector M holds C(L, M) - C(L, M-1) <= 0 regular root sets
+    with pytest.raises(ConfigError, match=r"rational M=\d must satisfy 2M <= L="):
+        parse_config_text(text)
+
+
+def test_parse_accepts_m_at_half_l_and_trigonometric_m_above_it():
+    assert parse_config_text("L: 4\nM: 2\n").magnons == 2
+    assert parse_config_text("L: 3\nM: 1\n").magnons == 1
+    trig = parse_config_text("regime: trigonometric\neta: 0.7\nL: 3\nM: 2\n")
+    assert (trig.length, trig.magnons) == (3, 2)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    assert load_config(configs / "closed_case.cfg").magnons == 1
+
+
+def test_cli_verify_rejects_rational_m_above_half_l(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("L: 3\nM: 2\n")
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--output-dir", str(out_dir)]) == 2
+    assert "rational M=2 must satisfy 2M <= L=3" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_parse_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -3"):
+        parse_config_text("seed: -3\n")
+    assert parse_config_text("seed: 0\n").seed == 0
+
+
+@pytest.mark.parametrize("source", ["file", "override"])
+def test_cli_verify_rejects_negative_seed(tmp_path, capsys, small_config, source):
+    out_dir = tmp_path / "out"
+    if source == "file":
+        path = tmp_path / "run.cfg"
+        path.write_text("seed: -3\n")
+        argv = ["verify", "--config", str(path)]
+    else:
+        argv = ["verify", "--config", str(small_config), "--seed", "-1"]
+    assert main(argv + ["--output-dir", str(out_dir)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_parse_rejects_xi_length_mismatch():
     with pytest.raises(ConfigError):
         parse_config_text("L: 3\nM: 1\nxi: 0.1, 0.2\n")
@@ -83,7 +128,7 @@ def test_parse_rejects_unknown_key():
 KEY_CASES = [
     ("regime: trigonometric", "family", "trigonometric"),
     ("eta: 0.7-0.1j", "eta", 0.7 - 0.1j),
-    ("L: 3", "length", 3),
+    ("L: 4", "length", 4),
     ("M: 1", "magnons", 1),
     ("xi: random", "xi", None),
     ("xi: 0.5, (0.1-0.2j), -1, 2, 0j, 3", "xi", (0.5, 0.1 - 0.2j, -1, 2, 0, 3)),

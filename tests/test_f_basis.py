@@ -25,6 +25,7 @@ from dense_routes import (
     exchange_dense_residual,
     f_matrix_element_dense_residual,
     factorization_dense_residual,
+    site_occupations,
     tail_columns,
 )
 
@@ -233,7 +234,7 @@ def test_verify_builds_each_factorizer_once_per_check(monkeypatch, regime):
 def _dense_flip(kind, site, t, lattice, regime, occupied, empty):
     # flip operator times the diagonal weight operator, as a dense product
     L = lattice.length
-    bits = tc.site_occupations(L)
+    bits = site_occupations(L)
     diag = np.full(1 << L, vm.b_weight(lattice.xi[site - 1] - t, regime), dtype=complex)
     for k in range(L):
         if k != site - 1:
@@ -268,7 +269,7 @@ def test_broadcast_flips_and_factorizer_equal_dense_products(L, regime):
     assert np.array_equal(dense_flip_sum("raise", fb.quasilocal_b(t, lattice, regime)), raise_sum)
     assert np.array_equal(dense_flip_sum("lower", fb.quasilocal_c(t, lattice, regime)), lower_sum)
     want_a = np.ones(1 << L, dtype=complex)
-    for k, bits in enumerate(tc.site_occupations(L)):
+    for k, bits in enumerate(site_occupations(L)):
         want_a = want_a * np.where(bits == 1, 1.0, c(xi[k] - t, regime))
     assert np.array_equal(dense_a(t, lattice, regime), np.diag(want_a))
 

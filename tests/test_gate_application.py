@@ -118,28 +118,30 @@ def test_probe_block_is_fixed():
 
 @pytest.mark.parametrize("L", [n for n in LENGTHS if n > 1])
 def test_apply_two_site_matches_dense_product(L):
-    # a generic gate, not particle conserving: every entry of the gate counts
+    # a generic gate, not particle conserving or symmetric: every entry of
+    # the gate counts, and a transposed gate fails
     rng = np.random.default_rng(240 + L)
     dim = 1 << L
     gate = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    for i in range(1, L + 1):
-        for j in range(1, L + 1):
-            if i != j:
-                dense = op @ tc.embed_two_site(gate, i, j, L)
-                assert_close_to_dense(tc.apply_two_site(op, gate, i, j, L), dense)
+    for columns in (1, 3, dim):
+        block = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+        for i in range(1, L + 1):
+            for j in range(1, L + 1):
+                if i != j:
+                    dense = tc.embed_two_site(gate, i, j, L) @ block
+                    assert_close_to_dense(tc.apply_two_site_left(block, gate, i, j, L), dense)
 
 
 def test_apply_two_site_rejects_bad_arguments():
-    op = tc.identity_operator(3)
+    block = tc.identity_operator(3)
     with pytest.raises(ValueError):
-        tc.apply_two_site(op, np.eye(4), 2, 2, 3)
+        tc.apply_two_site_left(block, np.eye(4), 2, 2, 3)
     with pytest.raises(ValueError):
-        tc.apply_two_site(op, np.eye(4), 1, 4, 3)
+        tc.apply_two_site_left(block, np.eye(4), 1, 4, 3)
     with pytest.raises(ValueError):
-        tc.apply_two_site(op, np.eye(2), 1, 2, 3)
+        tc.apply_two_site_left(block, np.eye(2), 1, 2, 3)
     with pytest.raises(ValueError):
-        tc.apply_two_site(tc.identity_operator(2), np.eye(4), 1, 2, 3)
+        tc.apply_two_site_left(tc.identity_operator(2), np.eye(4), 1, 2, 3)
 
 
 def test_hot_path_builds_no_dense_embedding(monkeypatch, regime):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sixvertex import tensor_core as tc
 
 from conftest import PERMUTATION_GATE
+from dense_routes import site_occupations
 
 
 # Independent bit helpers, written from the convention (site 1 = most
@@ -166,16 +167,18 @@ def test_site_operator_rejects_out_of_range():
 
 def test_site_occupations_and_index_follow_the_bit_helpers():
     for L in (1, 3, 5):
-        bits = tc.site_occupations(L)
+        bits = site_occupations(L)
         for idx in range(1 << L):
             assert tuple(int(b[idx]) for b in bits) == decode_bits(idx, L)
             assert tc.index_of_sites(occupied_sites(idx, L), L) == idx
 
 
-def test_flip_columns_pair_empty_and_occupied_states():
+def test_site_axes_pair_empty_and_occupied_states():
     L = 4
+    indices = np.arange(1 << L)
     for site in range(1, L + 1):
-        empty, occupied = tc.flip_columns(site, L)
+        view = tc.site_axes(indices, (site,), L)
+        empty, occupied = view[0].ravel(), view[1].ravel()
         assert len(empty) == 1 << (L - 1)
         for x, y in zip(empty, occupied):
             bx, by = list(decode_bits(int(x), L)), list(decode_bits(int(y), L))
@@ -183,7 +186,56 @@ def test_flip_columns_pair_empty_and_occupied_states():
             bx[site - 1] = 1
             assert bx == by
     with pytest.raises(ValueError):
-        tc.flip_columns(0, L)
+        tc.site_axes(indices, (0,), L)
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_site_axes_match_the_bit_oracle(L):
+    # every basis index lands where its listed sites' bits point, for every
+    # single site and every ordered pair of sites
+    indices = np.arange(1 << L)
+    bits = site_occupations(L)
+    site_lists = [(s,) for s in range(1, L + 1)]
+    site_lists += [(i, j) for i in range(1, L + 1) for j in range(1, L + 1) if i != j]
+    for sites in site_lists:
+        view = tc.site_axes(indices, sites, L)
+        assert view.shape[: len(sites)] == (2,) * len(sites)
+        assert view.size == 1 << L
+        for values in np.ndindex(*(2,) * len(sites)):
+            want = np.all([bits[s - 1] == v for s, v in zip(sites, values)], axis=0)
+            assert np.array_equal(np.sort(view[values].ravel()), np.flatnonzero(want))
+        # the unlisted sites' bits follow in site order, most significant first
+        rest = view.reshape((1 << len(sites), -1))
+        assert all(np.all(np.diff(row) > 0) for row in rest)
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_site_axes_write_lands_in_the_array(L):
+    rng = np.random.default_rng(60 + L)
+    block = rng.normal(size=(1 << L, 3)) + 1j * rng.normal(size=(1 << L, 3))
+    bits = site_occupations(L)
+    for site in range(1, L + 1):
+        got = block.copy()
+        tc.site_axes(got, (site,), L)[1] *= 2.0
+        want = block * np.where(bits[site - 1] == 1, 2.0, 1.0)[:, None]
+        assert np.array_equal(got, want)
+    if L > 1:
+        got = block.copy()
+        tc.site_axes(got, (L, 1), L)[1, 0] = 0
+        keep = ~((bits[L - 1] == 1) & (bits[0] == 0))
+        assert np.array_equal(got, block * keep[:, None])
+
+
+def test_site_axes_rejects_bad_arguments():
+    v = np.zeros(8)
+    with pytest.raises(ValueError):
+        tc.site_axes(v, (2, 2), 3)
+    with pytest.raises(ValueError):
+        tc.site_axes(v, (1, 4), 3)
+    with pytest.raises(ValueError):
+        tc.site_axes(np.zeros(4), (1,), 3)
+    with pytest.raises(ValueError):
+        tc.site_axes(np.zeros((3, 8)), (1,), 3)
 
 
 @pytest.mark.parametrize("kind", ["raise", "lower"])
