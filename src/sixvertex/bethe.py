@@ -142,6 +142,9 @@ def bae_residuals(q, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
 
 
 def _newton(q0, lattice, regime, tol):
+    """Newton run from q0: (last iterate, its max residual, converged, why it
+    failed).  The reason is "" unless the run ended on an exception or a
+    non-finite step, which leave the residual at inf."""
     q = np.asarray(q0, dtype=complex).copy()
     for iteration in range(MAX_NEWTON_ITER + 1):
         # A colliding or singular iterate (DegenerateRootsError,
@@ -151,17 +154,22 @@ def _newton(q0, lattice, regime, tol):
             residuals, r, jac = _bethe_system(q, lattice, regime)
             res = float(np.max(residuals))
             if res < tol or iteration == MAX_NEWTON_ITER:
-                return q, res, res < tol
+                return q, res, res < tol, ""
             step = np.linalg.solve(jac, -r)
-        except ValueError:
-            return q, np.inf, False
+        except ValueError as exc:
+            return q, np.inf, False, f"{type(exc).__name__}: {exc}"
         if not np.all(np.isfinite(step)):
-            return q, np.inf, False
+            return q, np.inf, False, "non-finite Newton step"
         # keep steps tame so the iterate cannot jump onto a pole
         scale = float(np.max(np.abs(step)))
         if scale > 1.0:
             step = step / scale
         q = q + step
+
+
+def _failure(res, reason):
+    # "(res 1.00e-03)", or "(res inf) [SingularWeightError: ...]" when a reason is known
+    return f"(res {res:.2e})" + (f" [{reason}]" if reason else "")
 
 
 def _decoupled_seed(branch: int, n_sites: int, center: complex, regime: Regime) -> complex:
@@ -178,6 +186,58 @@ def _decoupled_seed(branch: int, n_sites: int, center: complex, regime: Regime) 
     return center - u
 
 
+def _homogeneous_starts(magnons, L, center, regime, rng, tol, trace):
+    """Converged roots at the homogeneous point, with their branch sets, one
+    at a time: every branch set unjittered, then every branch set under
+    jitter of 1e-2, 1e-1 and 1 drawn from ``rng``."""
+    homogeneous = LatticeSpec(L, (center,) * L)
+    branch_sets = list(combinations(range(1, L), magnons))
+    for jitter_round in range(4):
+        jitter_scale = 0.0 if jitter_round == 0 else 10.0 ** (-3 + jitter_round)
+        for branches in branch_sets:
+            try:
+                q0 = [
+                    _decoupled_seed(k, L, center, regime)
+                    + jitter_scale * complex(rng.normal(), rng.normal())
+                    for k in branches
+                ]
+            except (ZeroDivisionError, ValueError):  # ValueError: atan's argument is +-i
+                continue
+            q, res, ok, reason = _newton(q0, lattice=homogeneous, regime=regime, tol=tol)
+            if ok:
+                trace.append(f"homogeneous solve ok from branches {branches} (res {res:.2e})")
+                yield branches, q
+            else:
+                trace.append(f"branches {branches}: no convergence {_failure(res, reason)}")
+
+
+def _homotopy(q, center, lattice, regime, tol, trace):
+    """Follow roots from the homogeneous point (s = 0) to the lattice (s = 1),
+    re-converging Newton at every leg; a failed leg is halved.  Returns the
+    roots at s = 1, or None and the s it stalled at when a leg falls below
+    the minimum length."""
+    L = lattice.length
+    s = 0.0
+    h = 1.0 / HOMOTOPY_LEGS
+    min_h = 1.0 / (HOMOTOPY_LEGS * 512)
+    target = np.asarray(lattice.xi, dtype=complex)
+    while s < 1.0 - 1e-15:
+        h = min(h, 1.0 - s)
+        xi_next = tuple(center + (s + h) * (x - center) for x in target)
+        leg_lattice = LatticeSpec(L, xi_next)
+        q_next, res, ok, reason = _newton(q, lattice=leg_lattice, regime=regime, tol=tol)
+        if ok:
+            q = q_next
+            s += h
+            h *= 1.7
+        else:
+            trace.append(f"leg to s={s + h:.4f} failed {_failure(res, reason)}; halving")
+            h /= 2.0
+            if h < min_h:
+                return None, s
+    return q, s
+
+
 def solve_bethe_roots(
     magnons: int,
     lattice: LatticeSpec,
@@ -192,7 +252,11 @@ def solve_bethe_roots(
     branches, then deform the inhomogeneities toward the target along an
     adaptive homotopy, re-converging Newton at every leg.  A leg whose Newton
     run does not converge, or meets colliding roots or a singular weight, is
-    halved; a stall raises SolverFailureError with the trace.
+    halved.  When the homotopy stalls, the search for homogeneous starts
+    resumes where it stopped, and the homotopy is followed from the next
+    start that converges: at most 4·C(L-1, M) homotopies, one per branch set
+    and jitter round.  SolverFailureError, with the whole trace, is raised
+    only when every start is spent.
 
     Only regular finite-root solutions are searched for.  Sectors whose
     eigenvectors require roots at infinity (e.g. beyond half filling in the
@@ -207,57 +271,22 @@ def solve_bethe_roots(
 
     rng = np.random.default_rng(seed)
     center = sum(lattice.xi) / L
-    homogeneous = LatticeSpec(L, (center,) * L)
     trace: list[str] = []
-
-    q_start = None
-    branch_sets = list(combinations(range(1, L), magnons))
-    for jitter_round in range(4):
-        jitter_scale = 0.0 if jitter_round == 0 else 10.0 ** (-3 + jitter_round)
-        for branches in branch_sets:
-            try:
-                q0 = [
-                    _decoupled_seed(k, L, center, regime)
-                    + jitter_scale * complex(rng.normal(), rng.normal())
-                    for k in branches
-                ]
-            except (ZeroDivisionError, ValueError):  # ValueError: atan's argument is +-i
-                continue
-            q, res, ok = _newton(q0, lattice=homogeneous, regime=regime, tol=tol)
-            if ok:
-                q_start = q
-                trace.append(f"homogeneous solve ok from branches {branches} (res {res:.2e})")
-                break
-            trace.append(f"branches {branches}: no convergence (res {res:.2e})")
-        if q_start is not None:
+    stalls = 0
+    for branches, q_start in _homogeneous_starts(magnons, L, center, regime, rng, tol, trace):
+        q, s = _homotopy(q_start, center, lattice, regime, tol, trace)
+        if q is not None:
             break
-    if q_start is None:
+        stalls += 1
+        trace.append(f"homotopy from branches {branches} stalled at s={s:.4f}; next start")
+    else:
+        if stalls == 0:
+            raise SolverFailureError(
+                f"no homogeneous starting roots for M={magnons}, L={L}", trace
+            )
         raise SolverFailureError(
-            f"no homogeneous starting roots for M={magnons}, L={L}", trace
+            f"homotopy stalled from all {stalls} starts for M={magnons}, L={L}", trace
         )
-
-    # homotopy in the inhomogeneities, adaptive step size
-    q = q_start
-    s = 0.0
-    h = 1.0 / HOMOTOPY_LEGS
-    min_h = 1.0 / (HOMOTOPY_LEGS * 512)
-    target = np.asarray(lattice.xi, dtype=complex)
-    while s < 1.0 - 1e-15:
-        h = min(h, 1.0 - s)
-        xi_next = tuple(center + (s + h) * (x - center) for x in target)
-        leg_lattice = LatticeSpec(L, xi_next)
-        q_next, res, ok = _newton(q, lattice=leg_lattice, regime=regime, tol=tol)
-        if ok:
-            q = q_next
-            s += h
-            h *= 1.7
-        else:
-            trace.append(f"leg to s={s + h:.4f} failed (res {res:.2e}); halving")
-            h /= 2.0
-            if h < min_h:
-                raise SolverFailureError(
-                    f"homotopy stalled at s={s:.4f} for M={magnons}, L={L}", trace
-                )
 
     residual = float(np.max(bae_residuals(q, lattice, regime)))
     if residual >= tol:

@@ -24,7 +24,6 @@ from .errors import DegenerateParametersError
 from .tensor_core import (
     apply_site_flips,
     apply_two_site_left,
-    identity_operator,
     max_abs_diff,
     probe_residual,
     site_axes,
@@ -51,11 +50,25 @@ PROBE_SEED = 1977
 
 @dataclass(frozen=True)
 class FactorizingOperator:
-    """Factorizing operator and the 1-norm condition estimate of F with its
-    numerically computed inverse."""
+    """Factorizing operator as its particle-number sector blocks, and the
+    1-norm condition number of F from the blocks' numerical inverses.
 
-    f: np.ndarray
+    ``sectors`` holds one (states, block) pair per occupation number m = 0..L:
+    the basis indices with m occupied sites in increasing order, and F on them,
+    ``F[np.ix_(states, states)]``.  F conserves particle number, so it vanishes
+    off these blocks.
+    """
+
+    sectors: tuple[tuple[np.ndarray, np.ndarray], ...]
     cond1: float
+
+    def apply(self, block) -> np.ndarray:
+        """F·block, one sector block at a time."""
+        block = np.asarray(block)
+        out = np.empty(block.shape, dtype=complex)
+        for states, f_m in self.sectors:
+            out[states] = f_m @ block[states]
+        return out
 
 
 def probe_block(n_sites: int) -> np.ndarray:
@@ -74,8 +87,7 @@ def _tail_gates(order, pos, lattice, regime):
 
 
 def apply_factorizer(order, block, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
-    """F·block for the factorizer built in ``order``; on the identity it
-    gives the dense F.
+    """F·block for the factorizer built in ``order``.
 
     Factors act last first.  A factor keeps the rows where its site is empty
     and applies its tail gates, last first, to the rows where it is occupied.
@@ -93,24 +105,46 @@ def apply_factorizer(order, block, lattice: LatticeSpec, regime: Regime) -> np.n
     return out
 
 
-def factorizing_operator(lattice: LatticeSpec, regime: Regime) -> FactorizingOperator:
-    """Build the dense factorizing operator and estimate its conditioning.
+def _sector_states(n_sites: int) -> list[np.ndarray]:
+    """Basis indices with m occupied sites, in increasing order, for m = 0..L."""
+    indices = np.arange(1 << n_sites)
+    counts = sum((indices >> bit) & 1 for bit in range(n_sites))
+    return [np.flatnonzero(counts == m) for m in range(n_sites + 1)]
 
-    F is ``apply_factorizer`` on the identity.  The 1-norm condition estimate
-    uses a plain numerical inverse, cheap at desk scale; an estimate above
-    1e12 is rejected as a degenerate parameter configuration.
+
+def factorizing_operator(lattice: LatticeSpec, regime: Regime) -> FactorizingOperator:
+    """Build the factorizing operator sector by sector and take its condition
+    number.
+
+    Every gate of F obeys the ice rule and every mask is diagonal, so F keeps
+    each basis state in its sector.  One ``apply_factorizer`` pass therefore
+    builds all blocks at once, on a sector-packed identity of max_m C(L, m)
+    columns: column k is the sum of the k-th basis vector of every sector
+    that has one.  Entries of other sectors meet a gate only through its
+    exact zeros, so they add nothing to a block.  For block-diagonal F,
+    ||F||_1 ||F^-1||_1 = max_m ||F_m||_1 · max_m ||F_m^-1||_1, one plain
+    numerical inverse per block; a value above 1e12, or an exactly singular
+    block, is rejected as a degenerate parameter configuration.
     """
     L = lattice.length
-    f = apply_factorizer(tuple(range(1, L + 1)), identity_operator(L), lattice, regime)
+    sectors = _sector_states(L)
+    packed = np.zeros((1 << L, max(len(states) for states in sectors)), dtype=complex)
+    for states in sectors:
+        packed[states, np.arange(len(states))] = 1.0
+    out = apply_factorizer(tuple(range(1, L + 1)), packed, lattice, regime)
+    blocks = tuple((states, out[states, : len(states)]) for states in sectors)
     try:
-        cond = np.linalg.norm(f, 1) * np.linalg.norm(np.linalg.inv(f), 1)
+        inverses = [np.linalg.inv(f_m) for _, f_m in blocks]
+        cond = max(np.linalg.norm(f_m, 1) for _, f_m in blocks) * max(
+            np.linalg.norm(inv, 1) for inv in inverses
+        )
     except np.linalg.LinAlgError:  # exactly singular
         cond = np.inf
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise DegenerateParametersError(
             f"factorizing operator ill conditioned (estimate {cond:.3e})"
         )
-    return FactorizingOperator(f=f, cond1=float(cond))
+    return FactorizingOperator(sectors=blocks, cond1=float(cond))
 
 
 def transposition_gate(site: int, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
@@ -215,21 +249,23 @@ def quasilocal_c(t: complex, lattice: LatticeSpec, regime: Regime) -> np.ndarray
     return np.array([term(site) for site in range(1, lattice.length + 1)])
 
 
-def closed_forms_residual(f: np.ndarray, t: complex, lattice: LatticeSpec, regime: Regime) -> float:
+def closed_forms_residual(
+    fac: FactorizingOperator, t: complex, lattice: LatticeSpec, regime: Regime
+) -> float:
     """Worst probe residual of X(t)·F = F·X̃(t) for X = A, B, C.
 
-    The closed forms X̃ act on the probe block as weights and flips, F as a
-    dense matrix, and the monodromy blocks X(t) on F times the probe block.
+    The closed forms X̃ act on the probe block as weights and flips, F by its
+    sector blocks, and the monodromy blocks X(t) on F times the probe block.
     No inverse of F is used.
     """
     block = probe_block(lattice.length)
-    ent = monodromy_entries(t, lattice, regime, f @ block)
+    ent = monodromy_entries(t, lattice, regime, fac.apply(block))
     pairs = (
         (ent.a, diagonal_a(t, lattice, regime)[:, None] * block),
         (ent.b, apply_site_flips("raise", quasilocal_b(t, lattice, regime), block)),
         (ent.c, apply_site_flips("lower", quasilocal_c(t, lattice, regime), block)),
     )
-    return max(probe_residual(x_f_block, f @ tilde_block) for x_f_block, tilde_block in pairs)
+    return max(probe_residual(x_f_block, fac.apply(tilde_block)) for x_f_block, tilde_block in pairs)
 
 
 def commutation_residual(t: complex, t2: complex, lattice: LatticeSpec, regime: Regime) -> float:

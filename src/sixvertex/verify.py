@@ -162,13 +162,15 @@ def _check_f_closed_forms(ctx):
     samples = 3
     for _ in range(samples):
         t = vm.random_spectral_point(lattice, regime, rng)
-        worst = max(worst, f_basis.closed_forms_residual(fac.f, t, lattice, regime))
+        worst = max(worst, f_basis.closed_forms_residual(fac, t, lattice, regime))
     return worst, {
         "L": lattice.length,
         "spectral_samples": samples,
         "route": "probe",
         "probes": f_basis.PROBES,
         "cond1_F": fac.cond1,
+        "sectors": len(fac.sectors),
+        "block_max": max(len(states) for states, _ in fac.sectors),
     }
 
 

@@ -3,8 +3,8 @@
 The library checks the closed forms on their weight data and the identities
 that involve F or the monodromy blocks on random probe vectors.  Here each
 closed form is rebuilt as a dense 2^L x 2^L matrix from that weight data,
-the factorizer as the product of dense ``embed_two_site`` matrices, the
-monodromy blocks by applying T(t) to the identity, and each identity is
+the factorizer as the product of dense ``embed_two_site`` matrices or as
+``apply_factorizer`` on the whole identity, the monodromy blocks by applying T(t) to the identity, and each identity is
 measured as the max-abs entrywise difference of dense operator products, as
 the library did before.  For L <= 8 both routes must stay under the same
 tolerance.
@@ -35,6 +35,13 @@ def assert_close_to_dense(got, dense):
 def dense_entries(t, lattice, regime):
     """The dense A, B, C, D blocks: the monodromy applied to the identity."""
     return vm.monodromy_entries(t, lattice, regime, tc.identity_operator(lattice.length))
+
+
+def dense_f(lattice, regime):
+    """F applied to the 2^L identity: the dense matrix whose particle-number
+    sector blocks ``factorizing_operator`` keeps."""
+    L = lattice.length
+    return fb.apply_factorizer(tuple(range(1, L + 1)), tc.identity_operator(L), lattice, regime)
 
 
 def dense_tail(order, pos, lattice, regime):
@@ -96,17 +103,17 @@ def dense_creation(site, t, lattice, regime):
     return tc.site_operator("raise", site, L) * fb.site_creation(site, t, lattice, regime)
 
 
-def conjugated(op, factorizer):
-    return np.linalg.inv(factorizer.f) @ op @ factorizer.f
+def conjugated(op, f):
+    return np.linalg.inv(f) @ op @ f
 
 
-def closed_forms_dense_residual(fac, t, lattice, regime):
-    """max-abs residual of F^-1 X(t) F = X~(t) for X = A, B, C."""
+def closed_forms_dense_residual(f, t, lattice, regime):
+    """max-abs residual of F^-1 X(t) F = X~(t) for X = A, B, C, with F dense."""
     ent = dense_entries(t, lattice, regime)
     return max(
-        tc.max_abs_diff(conjugated(ent.a, fac), dense_a(t, lattice, regime)),
-        tc.max_abs_diff(conjugated(ent.b, fac), dense_b(t, lattice, regime)),
-        tc.max_abs_diff(conjugated(ent.c, fac), dense_c(t, lattice, regime)),
+        tc.max_abs_diff(conjugated(ent.a, f), dense_a(t, lattice, regime)),
+        tc.max_abs_diff(conjugated(ent.b, f), dense_b(t, lattice, regime)),
+        tc.max_abs_diff(conjugated(ent.c, f), dense_c(t, lattice, regime)),
     )
 
 
@@ -160,7 +167,7 @@ def f_matrix_element_dense_residual(lattice, regime):
     """
     L = lattice.length
     identity = tc.identity_operator(L)
-    f = fb.apply_factorizer(tuple(range(1, L + 1)), identity, lattice, regime)
+    f = dense_f(lattice, regime)
     b_ops = {
         n: fb.monodromy_entries(lattice.xi[n - 1], lattice, regime, identity).b
         for n in range(1, L + 1)

@@ -19,6 +19,7 @@ from conftest import RATIONAL, TRIG, default_spectral_samples, make_lattice
 from dense_routes import (
     closed_forms_dense_residual,
     commutation_dense_residual,
+    dense_f,
     exchange_dense_residual,
     f_matrix_element_dense_residual,
     factorization_dense_residual,
@@ -79,10 +80,11 @@ def test_criterion_02_closed_forms_match_conjugation():
             L = 2 + draw % 7  # cycles 2..8
             lattice = make_lattice(L, regime, seed=2000 + draw)
             fac = f_basis.factorizing_operator(lattice, regime)
+            f = dense_f(lattice, regime)
             for _ in range(5):
                 t = vm.random_spectral_point(lattice, regime, rng)
-                worst = max(worst, f_basis.closed_forms_residual(fac.f, t, lattice, regime))
-                worst_dense = max(worst_dense, closed_forms_dense_residual(fac, t, lattice, regime))
+                worst = max(worst, f_basis.closed_forms_residual(fac, t, lattice, regime))
+                worst_dense = max(worst_dense, closed_forms_dense_residual(f, t, lattice, regime))
     ok = worst < 1e-10 and worst_dense < 1e-10
     report(2, "f_basis_closed_forms", ok, f"probe {worst:.2e}, dense {worst_dense:.2e}")
 

@@ -366,13 +366,13 @@ def reference_newton(q0, lattice, regime, tol):
         try:
             res = float(np.max(reference_public_residuals(q, lattice, regime)))
             if res < tol or iteration == bethe.MAX_NEWTON_ITER:
-                return q, res, res < tol
+                return q, res, res < tol, ""
             r, jac = reference_newton_system(q, lattice, regime)
             step = np.linalg.solve(jac, -r)
-        except ValueError:
-            return q, np.inf, False
+        except ValueError as exc:
+            return q, np.inf, False, f"{type(exc).__name__}: {exc}"
         if not np.all(np.isfinite(step)):
-            return q, np.inf, False
+            return q, np.inf, False, "non-finite Newton step"
         scale = float(np.max(np.abs(step)))
         if scale > 1.0:
             step = step / scale
@@ -501,8 +501,8 @@ def test_root_of_unity_solve_gives_roots_or_a_typed_failure(eta, L, m):
     assert float(np.max(bethe.bae_residuals(roots.q, lattice, regime))) < 1e-12
 
 
-# (family, L, lattice seed, M): three solves that converge, and the pinned
-# rational stall below, whose message and trace must repeat too.
+# (family, L, lattice seed, M): three solves that converge at once, and the
+# rational L=7 solve whose homotopy from its first start stalls.
 IDENTITY_SOLVES = [
     ("rational", 6, 2, 3),
     ("trigonometric", 5, 3, 2),
@@ -515,14 +515,32 @@ IDENTITY_SOLVES = [
 TRACE_RESIDUAL = re.compile(r"\(res [^)]*\)")
 
 
-def solve_outcome(family, L, seed, m):
+def masked(trace):
+    return [TRACE_RESIDUAL.sub("(res *)", line) for line in trace]
+
+
+def solve_outcome(family, L, seed, m, monkeypatch):
+    """The solve's roots and stored residual, or its failure message, with
+    its masked trace either way."""
     regime = RATIONAL if family == "rational" else TRIG
     lattice = make_lattice(L, regime, seed=seed)
+    traces = []
+    starts = bethe._homogeneous_starts
+
+    def recorded_starts(*args):
+        traces.append(args[-1])  # the solver's trace list, filled as it runs
+        return starts(*args)
+
+    monkeypatch.setattr(bethe, "_homogeneous_starts", recorded_starts)
     try:
         roots = bethe.solve_bethe_roots(m, lattice, regime, seed=seed)
     except SolverFailureError as exc:
-        return ("failed", str(exc), [TRACE_RESIDUAL.sub("(res *)", line) for line in exc.trace])
-    return ("solved", repr((roots.q, roots.residual)))
+        outcome = ("failed", str(exc))
+    else:
+        outcome = ("solved", repr((roots.q, roots.residual)))
+    finally:
+        monkeypatch.setattr(bethe, "_homogeneous_starts", starts)
+    return outcome + (masked(traces[0]),)
 
 
 @pytest.mark.parametrize("case", IDENTITY_SOLVES, ids=lambda c: "-".join(map(str, c)))
@@ -530,38 +548,72 @@ def test_solver_outputs_match_reference_system(case, monkeypatch):
     # The trace's "(res ...)" fields are masked: the solver's convergence test
     # reads the residual on the np.complex128 iterate, the reference's on
     # Python complex roots, and the two round apart in the last bits (the
-    # stall's homogeneous start logs 2.68e-15 against 2.73e-15).  Roots,
-    # stored residual, message and every other trace field must repeat.
-    got = solve_outcome(*case)
+    # rational L=7 solve's first homogeneous start logs 2.68e-15 against
+    # 2.73e-15).  Roots, stored residual and every other trace field, the
+    # reasons of failed Newton runs included, must repeat.
+    got = solve_outcome(*case, monkeypatch)
     monkeypatch.setattr(bethe, "_newton", reference_newton)
     monkeypatch.setattr(bethe, "bae_residuals", reference_public_residuals)
-    want = solve_outcome(*case)
+    want = solve_outcome(*case, monkeypatch)
     assert got == want
-    assert got[0] == ("failed" if case == ("rational", 7, 4, 2) else "solved")
+    assert got[0] == "solved"
 
 
-# Solves of the seeded sweep that stall, as (family, L, lattice seed, M).  The
-# homotopy from the homogeneous point halves its leg below the minimum near
-# s = 0.42 for both; the Gaudin matrix along that path is where to look.
-KNOWN_STALLS = {("rational", 7, 4, 2), ("rational", 7, 4, 3)}
+# A failed leg whose Newton run met colliding roots, residual masked.
+COLLIDING_LEG = re.compile(
+    r"leg to s=0\.\d{4} failed \(res \*\) "
+    r"\[DegenerateRootsError: roots 1 and 2 closer than 1e-08: \(.+\) ~ \(.+\)\]; halving"
+)
+
+
+def test_stalled_homotopy_moves_on_to_the_next_start(monkeypatch):
+    # Rational L=7 lattice seed 4, M=2: the homotopy from the first converged
+    # start, branches (1, 3), halves its leg below the minimum near s = 0.42,
+    # every failed leg on colliding roots; the second start, (1, 4), solves.
+    # 23 failed legs and s = 0.4216 here; a leg is halved at least 9 times
+    # before it falls below the minimum.
+    status, _, trace = solve_outcome("rational", 7, 4, 2, monkeypatch)
+    assert status == "solved"
+    assert trace[0].startswith("branches (1, 2): no convergence (res *) [DegenerateRootsError: ")
+    assert trace[1] == "homogeneous solve ok from branches (1, 3) (res *)"
+    assert re.fullmatch(r"homotopy from branches \(1, 3\) stalled at s=0\.42\d\d; next start", trace[-2])
+    assert trace[-1] == "homogeneous solve ok from branches (1, 4) (res *)"
+    legs = trace[2:-2]
+    assert len(legs) >= 9 and all(COLLIDING_LEG.fullmatch(line) for line in legs)
+
+
+def test_solver_raises_only_when_every_start_stalls(monkeypatch):
+    # Every leg off the homogeneous point fails, so every converged start is
+    # followed, logged as abandoned, and the error carries the whole trace.
+    newton = bethe._newton
+
+    def failing_legs(q0, lattice, regime, tol):
+        if len(set(lattice.xi)) > 1:
+            return q0, np.inf, False, "ValueError: forced"
+        return newton(q0, lattice, regime, tol)
+
+    monkeypatch.setattr(bethe, "_newton", failing_legs)
+    lattice = make_lattice(4, RATIONAL, seed=3)
+    with pytest.raises(SolverFailureError) as info:
+        bethe.solve_bethe_roots(1, lattice, RATIONAL, seed=3)
+    trace = info.value.trace
+    starts = [line for line in trace if line.startswith("homogeneous solve ok")]
+    abandoned = [line for line in trace if line.startswith("homotopy from branches")]
+    assert len(starts) == len(abandoned) and 1 <= len(starts) <= 4 * 3
+    assert all(line.endswith("stalled at s=0.0000; next start") for line in abandoned)
+    assert "leg to s=0.0500 failed (res inf) [ValueError: forced]; halving" in trace
+    assert str(info.value) == f"homotopy stalled from all {len(starts)} starts for M=1, L=4"
 
 
 @pytest.mark.parametrize("L", [4, 5, 6, 7])
 def test_seeded_solver_sweep(L, regime):
-    # Lattice and solve share the seed, as in run_verify.
-    stalls = set()
+    # Lattice and solve share the seed, as in run_verify; no solve may fail.
     for seed in range(5):
         lattice = make_lattice(L, regime, seed=seed)
         for m in range(1, L // 2 + 1):
-            try:
-                roots = bethe.solve_bethe_roots(m, lattice, regime, seed=seed)
-            except SolverFailureError as exc:
-                assert "homotopy stalled" in str(exc)
-                stalls.add((regime.family, L, seed, m))
-                continue
+            roots = bethe.solve_bethe_roots(m, lattice, regime, seed=seed)
             assert roots.residual < 1e-12
             assert float(np.max(bethe.bae_residuals(roots.q, lattice, regime))) < 1e-12
-    assert stalls == {case for case in KNOWN_STALLS if case[:2] == (regime.family, L)}
 
 
 # (family, L, lattice seed) of the slow sweep that draw no lattice:

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from dense_routes import (
     dense_b,
     dense_creation,
     dense_entries,
+    dense_f,
     dense_factorizer,
     dense_flip_sum,
     exchange_dense_residual,
@@ -32,7 +35,7 @@ from dense_routes import (
 
 def test_tail_product_last_site_is_identity(regime):
     lattice = make_lattice(3, regime, seed=1)
-    got, before_tail = tail_columns(fb.factorizing_operator(lattice, regime).f, 3)
+    got, before_tail = tail_columns(dense_f(lattice, regime), 3)
     assert np.array_equal(got, before_tail)
 
 
@@ -41,14 +44,14 @@ def test_tail_product_single_factor(regime):
     gate = vm.s_matrix(lattice.xi[1], lattice.xi[0], regime)
     number = tc.site_operator("number", 1, 2)
     want = (np.eye(4) - number) + tc.embed_two_site(gate, 2, 1, 2) @ number
-    assert tc.max_abs_diff(fb.factorizing_operator(lattice, regime).f, want) < 1e-15
+    assert tc.max_abs_diff(dense_f(lattice, regime), want) < 1e-15
 
 
 def test_tail_product_coinciding_arguments_gives_permutation(regime):
     xi = (0.25 + 0.1j, 0.25 + 0.1j, -0.3)
     lattice = vm.LatticeSpec(3, xi)
     # F is singular here, so it is built without the condition guard
-    f = fb.apply_factorizer((1, 2, 3), tc.identity_operator(3), lattice, regime)
+    f = dense_f(lattice, regime)
     got, before_tail = tail_columns(f, 1)
     first = tc.embed_two_site(PERMUTATION_GATE, 2, 1, 3)
     second = tc.embed_two_site(vm.s_matrix(xi[2], xi[0], regime), 3, 1, 3)
@@ -57,17 +60,16 @@ def test_tail_product_coinciding_arguments_gives_permutation(regime):
 
 def test_factorizer_single_site_is_identity(regime):
     lattice = vm.LatticeSpec(1, (0.4,))
-    fac = fb.factorizing_operator(lattice, regime)
-    assert tc.max_abs_diff(fac.f, np.eye(2)) == 0.0
+    assert tc.max_abs_diff(dense_f(lattice, regime), np.eye(2)) == 0.0
 
 
 def test_factorizer_fixes_vacuum(regime):
     for L in (2, 3, 5):
         lattice = make_lattice(L, regime, seed=10 + L)
-        fac = fb.factorizing_operator(lattice, regime)
+        f = dense_f(lattice, regime)
         vac = tc.vacuum_state(L)
-        assert tc.max_abs_diff(fac.f @ vac, vac) < 1e-12
-        assert tc.max_abs_diff(fac.f @ np.linalg.inv(fac.f), np.eye(1 << L)) < 1e-10
+        assert tc.max_abs_diff(f @ vac, vac) < 1e-12
+        assert tc.max_abs_diff(f @ np.linalg.inv(f), np.eye(1 << L)) < 1e-10
 
 
 def test_factorization_identity_two_sites(regime):
@@ -94,27 +96,25 @@ def test_diagonal_a_single_site(regime):
     t = 0.1 - 0.2j
     want = np.diag([vm.c_weight(0.3 - t, regime), 1.0])
     assert tc.max_abs_diff(dense_a(t, lattice, regime), want) < 1e-15
-    fac = fb.factorizing_operator(lattice, regime)
     ent = dense_entries(t, lattice, regime)
-    assert tc.max_abs_diff(conjugated(ent.a, fac), want) < 1e-14
+    assert tc.max_abs_diff(conjugated(ent.a, dense_f(lattice, regime)), want) < 1e-14
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])
 def test_closed_forms_match_conjugation(L, regime):
     lattice = make_lattice(L, regime, seed=50 + L)
-    fac = fb.factorizing_operator(lattice, regime)
+    f = dense_f(lattice, regime)
     rng = np.random.default_rng(60 + L)
     for _ in range(2):
         t = vm.random_spectral_point(lattice, regime, rng)
-        assert closed_forms_dense_residual(fac, t, lattice, regime) < 1e-10
+        assert closed_forms_dense_residual(f, t, lattice, regime) < 1e-10
 
 
 def test_conjugated_a_is_diagonal(regime):
     lattice = make_lattice(4, regime, seed=71)
-    fac = fb.factorizing_operator(lattice, regime)
     rng = np.random.default_rng(72)
     t = vm.random_spectral_point(lattice, regime, rng)
-    af = conjugated(dense_entries(t, lattice, regime).a, fac)
+    af = conjugated(dense_entries(t, lattice, regime).a, dense_f(lattice, regime))
     off = af - np.diag(np.diag(af))
     assert float(np.max(np.abs(off))) < 1e-10
 
@@ -205,30 +205,75 @@ def test_singular_factorizer_is_rejected_as_ill_conditioned(regime):
     assert closed.note.startswith("DegenerateParametersError: factorizing operator ill conditioned")
 
 
-def test_verify_builds_each_factorizer_once_per_check(monkeypatch, regime):
-    # f_closed_forms builds the identity-order factorizer once, by applying
-    # it to the identity, and is the only check that inverts F;
-    # f_factorization and f_matrix_elements apply the factorizers only to
-    # probe vectors.
-    L = 6
-    dim = 1 << L
-    builds, inverses = [], []
+def spy_on_verify(monkeypatch, regime, L, magnons):
+    """(order, column count) of every ``apply_factorizer`` call and the shape
+    of every ``np.linalg.inv`` argument during one ``run_verify``."""
+    applied, inverted = [], []
     apply, invert = fb.apply_factorizer, np.linalg.inv
 
     def counted_apply(order, block, lattice, regime):
-        if np.shape(block)[1] == dim:
-            builds.append(tuple(order))
+        applied.append((tuple(order), np.shape(block)[1]))
         return apply(order, block, lattice, regime)
 
     def counted_inv(*args, **kwargs):
-        inverses.append(args[0].shape)
+        inverted.append(args[0].shape)
         return invert(*args, **kwargs)
 
     monkeypatch.setattr(fb, "apply_factorizer", counted_apply)
     monkeypatch.setattr(np.linalg, "inv", counted_inv)
-    run_verify(RunConfig(family=regime.family, eta=regime.eta, length=L, magnons=L // 2))
+    run_verify(RunConfig(family=regime.family, eta=regime.eta, length=L, magnons=magnons))
+    return applied, inverted
+
+
+def test_verify_builds_each_factorizer_once_per_check(monkeypatch, regime):
+    # f_closed_forms builds the identity-order factorizer once, on the
+    # sector-packed identity of C(6, 3) = 20 columns, and is the only check
+    # that inverts F, one sector block per particle number;
+    # f_factorization and f_matrix_elements apply the factorizers only to
+    # probe vectors.
+    L = 6
+    applied, inverted = spy_on_verify(monkeypatch, regime, L, L // 2)
+    builds = [order for order, width in applied if width != fb.PROBES]
     assert builds == [tuple(range(1, L + 1))]
-    assert len(inverses) == 1
+    assert sorted(width for _, width in applied)[-1] == comb(L, L // 2)
+    assert inverted == [(comb(L, m), comb(L, m)) for m in range(L + 1)]
+
+
+def test_nine_site_verify_never_forms_a_full_size_factorizer(monkeypatch, regime):
+    # The largest sector, C(9, 4) = 126 states, bounds every block that is
+    # built or inverted; the full space has 512.
+    applied, inverted = spy_on_verify(monkeypatch, regime, 9, 3)
+    assert max(width for _, width in applied) == comb(9, 4)
+    assert max(max(shape) for shape in inverted) == comb(9, 4)
+    assert len(inverted) == 10
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_sector_blocks_are_the_dense_factorizer(L, regime):
+    # Exactly the dense oracle's blocks, with nothing of the oracle outside
+    # them; the condition number and the blockwise action agree with it.
+    # At L = 3 each gate product of the packed build has 6 columns, against
+    # the oracle's 16, and BLAS may round a complex product whose column
+    # count is no multiple of 4 apart in the last bit; there the blocks
+    # agree to rounding.  From L = 4 on both counts are multiples of 4.
+    lattice = make_lattice(L, regime, seed=200 + L)
+    fac = fb.factorizing_operator(lattice, regime)
+    f = dense_f(lattice, regime)
+    occupied = sum(site_occupations(L))
+    off_block = np.ones(f.shape, dtype=bool)
+    assert len(fac.sectors) == L + 1
+    for m, (states, block) in enumerate(fac.sectors):
+        assert np.array_equal(states, np.flatnonzero(occupied == m))
+        if L == 3:
+            assert_close_to_dense(block, f[np.ix_(states, states)])
+        else:
+            assert np.array_equal(block, f[np.ix_(states, states)])
+        off_block[np.ix_(states, states)] = False
+    assert not np.any(f[off_block])
+    dense_cond = np.linalg.norm(f, 1) * np.linalg.norm(np.linalg.inv(f), 1)
+    assert abs(fac.cond1 - dense_cond) <= 1e-12 * dense_cond
+    probes = fb.probe_block(L)
+    assert_close_to_dense(fac.apply(probes), f @ probes)
 
 
 def _dense_flip(kind, site, t, lattice, regime, occupied, empty):
@@ -273,8 +318,8 @@ def test_broadcast_flips_and_factorizer_equal_dense_products(L, regime):
         want_a = want_a * np.where(bits == 1, 1.0, c(xi[k] - t, regime))
     assert np.array_equal(dense_a(t, lattice, regime), np.diag(want_a))
 
-    dense_f = dense_factorizer(tuple(range(1, L + 1)), lattice, regime)
-    assert_close_to_dense(fb.factorizing_operator(lattice, regime).f, dense_f)
+    product = dense_factorizer(tuple(range(1, L + 1)), lattice, regime)
+    assert_close_to_dense(dense_f(lattice, regime), product)
 
 
 def _routes(lattice, regime, rng):
@@ -285,8 +330,8 @@ def _routes(lattice, regime, rng):
     return (
         ("f_factorization", fb.factorization_residual(lattice, regime),
          factorization_dense_residual(lattice, regime), 1e-10),
-        ("f_closed_forms", fb.closed_forms_residual(fac.f, t, lattice, regime),
-         closed_forms_dense_residual(fac, t, lattice, regime), 1e-10),
+        ("f_closed_forms", fb.closed_forms_residual(fac, t, lattice, regime),
+         closed_forms_dense_residual(dense_f(lattice, regime), t, lattice, regime), 1e-10),
         ("creation_commutation", fb.commutation_residual(t, t2, lattice, regime),
          commutation_dense_residual(t, t2, lattice, regime), 1e-10),
         ("creation_exchange", fb.exchange_residual(lattice, regime),
