@@ -24,10 +24,11 @@ from .errors import (
     SolverFailureError,
 )
 from .tensor_core import vacuum_state
-from .textio import parse_complex_list, write_text_atomic
+from .textio import parse_complex_list, parse_key_values, write_text_atomic
 from .vertex_model import (
     LatticeSpec,
     Regime,
+    _first_close_pair,
     c_and_log_derivative,
     monodromy_entries,
     site_weights,
@@ -76,13 +77,11 @@ class BetheRoots:
 
 
 def _require_separated(q, regime: Regime):
-    for i in range(len(q)):
-        for j in range(i + 1, len(q)):
-            if abs(regime.phi(q[i] - q[j])) < ROOT_SEPARATION:
-                raise DegenerateRootsError(
-                    f"roots {i + 1} and {j + 1} closer than {ROOT_SEPARATION}: "
-                    f"{q[i]} ~ {q[j]}"
-                )
+    if pair := _first_close_pair(q, regime, ROOT_SEPARATION):
+        i, j = pair
+        raise DegenerateRootsError(
+            f"roots {i + 1} and {j + 1} closer than {ROOT_SEPARATION}: {q[i]} ~ {q[j]}"
+        )
 
 
 def _pair_table(weight, q, regime: Regime) -> list[list]:
@@ -351,24 +350,13 @@ _ROOTS_FIELDS = {
 
 
 def roots_from_text(text: str) -> BetheRoots:
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
-    parsed = {}
-    for key, parse in _ROOTS_FIELDS.items():
-        if key not in fields:
+    parsed = parse_key_values(text, _ROOTS_FIELDS, lambda m: ProvenanceError(f"roots document {m}"))
+    for key in _ROOTS_FIELDS:
+        if key not in parsed:
             raise ProvenanceError(f"roots document missing field {key!r}")
-        try:
-            parsed[key] = parse(fields[key])
-        except ValueError as exc:
-            raise ProvenanceError(f"roots document: bad value for {key!r}: {exc}") from exc
     for key in ("eta", "xi", "q", "residual"):
         if not np.all(np.isfinite(parsed[key])):
-            raise ProvenanceError(f"roots document: {key!r} must be finite, got {fields[key]}")
+            raise ProvenanceError(f"roots document: {key!r} must be finite, got {parsed[key]}")
     if len(parsed["xi"]) != parsed["L"] or len(parsed["q"]) != parsed["M"]:
         raise ProvenanceError("roots document length fields disagree with lists")
     return BetheRoots(

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .textio import parse_complex_list
+from .textio import parse_complex_list, parse_key_values
 from .vertex_model import FAMILIES, PERMUTATION_CAP, LatticeSpec, Regime, random_lattice
 
 # File key -> (RunConfig field, value parser); "xi: random" means sampled.
@@ -99,23 +99,8 @@ class RunConfig:
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse the flat key: value format; '#' starts a comment."""
-    kwargs: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ConfigError(f"line {lineno}: expected 'key: value', got {raw!r}")
-        key = key.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        name, parse = _KEYS[key]
-        try:
-            kwargs[name] = parse(value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return RunConfig(**kwargs)
+    values = parse_key_values(text, {k: parse for k, (_, parse) in _KEYS.items()}, ConfigError)
+    return RunConfig(**{_KEYS[key][0]: value for key, value in values.items()})
 
 
 def load_config(path) -> RunConfig:

@@ -13,15 +13,17 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DegenerateParametersError, SizeCapError
+from .errors import SizeCapError
 from .vertex_model import (
-    MAX_TRIES,
+    _SAMPLING,
     PERMUTATION_CAP,
     SPECTRAL_GUARD,
     Regime,
+    _box_points,
+    _draw_until,
+    _first_close_pair,
     b_weight,
     c_weight,
-    sampling_profile,
 )
 
 DISTINCTNESS_FLOOR = 1e-10
@@ -42,13 +44,11 @@ class DwbcInput:
             raise ValueError(
                 f"{len(self.mu)} row parameters vs {len(self.q)} column parameters"
             )
-        for i in range(len(self.q)):
-            for j in range(i + 1, len(self.q)):
-                if abs(self.regime.phi(self.q[i] - self.q[j])) < DISTINCTNESS_FLOOR:
-                    raise ValueError(
-                        f"column parameters {i + 1} and {j + 1} coincide: "
-                        f"{self.q[i]} ~ {self.q[j]}"
-                    )
+        if pair := _first_close_pair(self.q, self.regime, DISTINCTNESS_FLOOR):
+            i, j = pair
+            raise ValueError(
+                f"column parameters {i + 1} and {j + 1} coincide: {self.q[i]} ~ {self.q[j]}"
+            )
 
     @property
     def size(self) -> int:
@@ -119,25 +119,16 @@ def random_input(m: int, regime: Regime, rng) -> DwbcInput:
     guard and every pool difference stays away from the eta-shifted zeros,
     so both evaluation routes see O(1) weight ratios.
     """
-    profile = sampling_profile(regime)
+    profile = _SAMPLING[regime.family]
     spread = profile["spread"]
-    guard = profile["pair_guard"]
-    for _ in range(MAX_TRIES):
-        mu = tuple(complex(a, b) for a, b in rng.uniform(-spread, spread, (m, 2)))
-        q = tuple(complex(a, b) for a, b in rng.uniform(-spread, spread, (m, 2)))
-        pool = mu + q
-        ok = all(
-            abs(regime.phi(x - y + regime.eta)) > SPECTRAL_GUARD
-            for x in pool
-            for y in pool
-        ) and all(
-            abs(regime.phi(q[i] - q[j])) > guard
-            for i in range(m)
-            for j in range(m)
-            if i != j
+    # |phi| <= guard rejects, as the strict "> guard" acceptance always has
+    pair_floor = float(np.nextafter(profile["pair_guard"], np.inf))
+    pool = _draw_until(
+        lambda: _box_points(rng, 2 * m, spread),
+        lambda mu_q: all(
+            abs(regime.phi(x - y + regime.eta)) > SPECTRAL_GUARD for x in mu_q for y in mu_q
         )
-        if ok:
-            return DwbcInput(mu, q, regime)
-    raise DegenerateParametersError(
-        f"could not sample a generic partition-function input after {MAX_TRIES} tries"
+        and _first_close_pair(mu_q[m:], regime, pair_floor) is None,
+        "a generic partition-function input",
     )
+    return DwbcInput(pool[:m], pool[m:], regime)

@@ -48,10 +48,6 @@ def vacuum_state(n_sites: int) -> np.ndarray:
     return state
 
 
-def identity_operator(n_sites: int) -> np.ndarray:
-    return np.eye(1 << n_sites, dtype=complex)
-
-
 def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
     """Single-site raise / lower / number operator embedded in the chain."""
     if kind not in SITE_KINDS:

@@ -76,12 +76,11 @@ def _guarded(a, b, regime):
 
 
 def _draw_pair(rng, regime):
-    spread = PAIR_SPREAD
-    while True:
-        t1 = complex(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
-        t2 = complex(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
-        if _guarded(t1, t2, regime):
-            return t1, t2
+    return vm._draw_until(
+        lambda: vm._box_points(rng, 2, PAIR_SPREAD),
+        lambda pair: _guarded(*pair, regime),
+        "a guarded spectral pair",
+    )
 
 
 def _check_unitarity(ctx):

@@ -41,11 +41,6 @@ SPECTRAL_GUARD = 0.15
 MAX_TRIES = 2000
 
 
-def sampling_profile(regime: "Regime") -> dict:
-    """Per-family box spread and guard floors used by the random samplers."""
-    return dict(_SAMPLING[regime.family])
-
-
 @dataclass(frozen=True)
 class Regime:
     """Weight family plus anisotropy; phi(eta) must not vanish."""
@@ -272,6 +267,38 @@ def transfer_eigenvalue(t: complex, roots, lattice: LatticeSpec, regime: Regime)
     return term1 + term2
 
 
+def _draw_until(draw, accept, what: str):
+    """The first ``draw()`` that ``accept`` takes, of at most MAX_TRIES: the
+    one rejection loop of every seeded sampler."""
+    for _ in range(MAX_TRIES):
+        value = draw()
+        if accept(value):
+            return value
+    raise DegenerateParametersError(f"could not sample {what} after {MAX_TRIES} tries")
+
+
+def _box_points(rng: np.random.Generator, n: int, spread: float) -> tuple[complex, ...]:
+    """n points of the square box |re|, |im| <= spread, one (re, im) draw each."""
+    return tuple(complex(a, b) for a, b in rng.uniform(-spread, spread, (n, 2)).tolist())
+
+
+def _first_close_pair(values, regime: Regime, floor: float) -> tuple[int, int] | None:
+    """The first pair i < j with |phi(v_i - v_j)| < floor, or None."""
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            if abs(regime.phi(values[i] - values[j])) < floor:
+                return i, j
+    return None
+
+
+def _clear_of_poles(lattice: LatticeSpec, t: complex, regime: Regime, guard: float) -> bool:
+    """Every site keeps |phi(xi - t)| and |phi(xi - t + eta)| above ``guard``."""
+    return all(
+        abs(regime.phi(x - t)) > guard and abs(regime.phi(x - t + regime.eta)) > guard
+        for x in lattice.xi
+    )
+
+
 def random_lattice(
     n_sites: int, regime: Regime, rng: np.random.Generator, spread: float | None = None
 ) -> LatticeSpec:
@@ -290,22 +317,16 @@ def random_lattice(
     scale = min(1.0, spread / profile["spread"])
     guard = profile["pair_guard"] * scale
     site_guard = profile["site_guard"] * scale
-    for _ in range(MAX_TRIES):
-        re = rng.uniform(-spread, spread, size=n_sites)
-        im = rng.uniform(-spread, spread, size=n_sites)
-        xi = tuple(complex(a, b) for a, b in zip(re, im))
-        lattice = LatticeSpec(n_sites, xi)
-        if not lattice.is_generic(regime, floor=guard):
-            continue
-        ok = all(
-            abs(regime.phi(x)) > site_guard
-            and abs(regime.phi(x + regime.eta)) > site_guard
-            for x in xi
-        )
-        if ok:
-            return lattice
-    raise DegenerateParametersError(
-        f"could not sample a generic lattice after {MAX_TRIES} tries"
+
+    def draw():  # all real parts, then all imaginary parts
+        re, im = rng.uniform(-spread, spread, (2, n_sites))
+        return LatticeSpec(n_sites, tuple(complex(a, b) for a, b in zip(re, im)))
+
+    return _draw_until(
+        draw,
+        lambda lattice: lattice.is_generic(regime, floor=guard)
+        and _clear_of_poles(lattice, 0.0, regime, site_guard),
+        "a generic lattice",
     )
 
 
@@ -314,16 +335,9 @@ def random_spectral_point(
 ) -> complex:
     """Sample t from the family's box avoiding weight poles and listed points."""
     spread = _SAMPLING[regime.family]["spread"]
-    for _ in range(MAX_TRIES):
-        t = complex(rng.uniform(-spread, spread), rng.uniform(-spread, spread))
-        ok = all(
-            abs(regime.phi(x - t)) > SPECTRAL_GUARD
-            and abs(regime.phi(x - t + regime.eta)) > SPECTRAL_GUARD
-            for x in lattice.xi
-        )
-        ok = ok and all(abs(regime.phi(t - q)) > SPECTRAL_GUARD for q in avoid)
-        if ok:
-            return t
-    raise DegenerateParametersError(
-        f"could not sample a generic spectral point after {MAX_TRIES} tries"
+    return _draw_until(
+        lambda: _box_points(rng, 1, spread)[0],
+        lambda t: _clear_of_poles(lattice, t, regime, SPECTRAL_GUARD)
+        and all(abs(regime.phi(t - q)) > SPECTRAL_GUARD for q in avoid),
+        "a generic spectral point",
     )

@@ -19,6 +19,12 @@ from sixvertex import tensor_core as tc
 from sixvertex import vertex_model as vm
 
 
+def identity_operator(n_sites):
+    """The identity on the 2^n_sites chain space: the block that turns an
+    applied operator into its dense matrix."""
+    return np.eye(1 << n_sites, dtype=complex)
+
+
 def site_occupations(n_sites):
     """Per site (site 1 first), its occupation bit across every basis index:
     the bit-index oracle that ``tensor_core.site_axes`` is checked against."""
@@ -34,21 +40,21 @@ def assert_close_to_dense(got, dense):
 
 def dense_entries(t, lattice, regime):
     """The dense A, B, C, D blocks: the monodromy applied to the identity."""
-    return vm.monodromy_entries(t, lattice, regime, tc.identity_operator(lattice.length))
+    return vm.monodromy_entries(t, lattice, regime, identity_operator(lattice.length))
 
 
 def dense_f(lattice, regime):
     """F applied to the 2^L identity: the dense matrix whose particle-number
     sector blocks ``factorizing_operator`` keeps."""
     L = lattice.length
-    return fb.apply_factorizer(tuple(range(1, L + 1)), tc.identity_operator(L), lattice, regime)
+    return fb.apply_factorizer(tuple(range(1, L + 1)), identity_operator(L), lattice, regime)
 
 
 def dense_tail(order, pos, lattice, regime):
     """Product of the dense S-matrix embeddings coupling site order[pos] to
     every later site of ``order``."""
     L, n = lattice.length, order[pos]
-    out = tc.identity_operator(L)
+    out = identity_operator(L)
     for later in order[pos + 1 :]:
         gate = vm.s_matrix(lattice.xi[later - 1], lattice.xi[n - 1], regime)
         out = out @ tc.embed_two_site(gate, later, n, L)
@@ -58,11 +64,11 @@ def dense_tail(order, pos, lattice, regime):
 def dense_factorizer(order, lattice, regime):
     """prod over ``order`` of (1 - n_site) + tail · n_site, densely."""
     L = lattice.length
-    out = tc.identity_operator(L)
+    out = identity_operator(L)
     for pos, site in enumerate(order):
         number = tc.site_operator("number", site, L)
         tail = dense_tail(order, pos, lattice, regime)
-        out = out @ ((tc.identity_operator(L) - number) + tail @ number)
+        out = out @ ((identity_operator(L) - number) + tail @ number)
     return out
 
 
@@ -166,7 +172,7 @@ def f_matrix_element_dense_residual(lattice, regime):
     patches them there breaks this route and the library's alike.
     """
     L = lattice.length
-    identity = tc.identity_operator(L)
+    identity = identity_operator(L)
     f = dense_f(lattice, regime)
     b_ops = {
         n: fb.monodromy_entries(lattice.xi[n - 1], lattice, regime, identity).b

@@ -209,6 +209,22 @@ def test_roots_text_rejects_non_finite_values(line, field):
     assert bethe.roots_from_text(CLOSED_ROOTS_TEXT).q == (0.5,)
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("garbage line", "roots document line 8: expected 'key: value', got 'garbage line'"),
+        ("frobnicate: 3", "roots document line 8: unknown key 'frobnicate'"),
+        ("q: 0.7", "roots document line 8: repeated key 'q'"),
+    ],
+)
+def test_roots_text_rejects_malformed_lines(extra, message):
+    # Each used to parse: the stray lines were ignored, and a second q line
+    # replaced the roots while the stored residual described the first set.
+    with pytest.raises(ProvenanceError, match=re.escape(message)):
+        bethe.roots_from_text(CLOSED_ROOTS_TEXT + extra + "\n")
+    assert bethe.roots_from_text(CLOSED_ROOTS_TEXT).q == (0.5,)
+
+
 def test_roots_provenance_mismatch(regime):
     lattice = make_lattice(3, regime, seed=20)
     other = make_lattice(3, regime, seed=21)

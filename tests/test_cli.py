@@ -124,6 +124,31 @@ def test_parse_rejects_unknown_key():
         parse_config_text("frobnicate: 3\n")
 
 
+# Config lines the key: value parser rejects, and the message naming the
+# line; two seed lines used to keep the last one silently.
+MALFORMED_CONFIGS = [
+    ("L: 4\ngarbage line\n", "line 2: expected 'key: value', got 'garbage line'"),
+    ("# header\nfrobnicate: 3\n", "line 2: unknown key 'frobnicate'"),
+    ("seed: 3\nL: 4\nseed: 5  # again\n", "line 3: repeated key 'seed'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_CONFIGS)
+def test_parse_rejects_malformed_lines(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_CONFIGS)
+def test_cli_verify_rejects_malformed_config(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    argv = ["verify", "--config", str(cfg_path), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # One line per known key, with the RunConfig field and value it must set.
 KEY_CASES = [
     ("regime: trigonometric", "family", "trigonometric"),
@@ -396,6 +421,29 @@ def test_cli_wavefunction_rejects_non_finite_roots(tmp_path, capsys, pattern, li
     argv = ["wavefunction", "--config", str(cfg_path), "--roots", str(roots_path)]
     assert main(argv + ["--out", str(wave_path)]) == 2
     assert field in capsys.readouterr().err
+    assert not wave_path.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("garbage line", "roots document line 9: expected 'key: value'"),
+        ("frobnicate: 3", "roots document line 9: unknown key 'frobnicate'"),
+        ("q: 0.7", "roots document line 9: repeated key 'q'"),
+    ],
+)
+def test_cli_wavefunction_rejects_malformed_roots(tmp_path, capsys, extra, message):
+    # A second q line used to replace the solved roots while the stored
+    # residual still described the first set.
+    cfg_path = tmp_path / "closed.cfg"
+    cfg_path.write_text("regime: rational\neta: 1\nL: 2\nM: 1\nxi: 0, 0\nseed: 3\n")
+    roots_path = tmp_path / "roots.txt"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(roots_path)]) == 0
+    roots_path.write_text(roots_path.read_text() + extra + "\n")
+    wave_path = tmp_path / "wave.txt"
+    argv = ["wavefunction", "--config", str(cfg_path), "--roots", str(roots_path)]
+    assert main(argv + ["--out", str(wave_path)]) == 2
+    assert message in capsys.readouterr().err
     assert not wave_path.exists()
 
 

@@ -13,7 +13,13 @@ from sixvertex import tensor_core as tc
 from sixvertex import vertex_model as vm
 
 from conftest import make_lattice
-from dense_routes import assert_close_to_dense, dense_factorizer, dense_tail, tail_columns
+from dense_routes import (
+    assert_close_to_dense,
+    dense_factorizer,
+    dense_tail,
+    identity_operator,
+    tail_columns,
+)
 
 LENGTHS = range(1, 7)
 
@@ -21,7 +27,7 @@ LENGTHS = range(1, 7)
 def dense_monodromy(t, lattice, regime):
     """S(1, aux)⋯S(L, aux) as a product of dense embeddings."""
     aux = lattice.length + 1
-    dense = tc.identity_operator(aux)
+    dense = identity_operator(aux)
     for i, x in enumerate(lattice.xi, start=1):
         dense = dense @ tc.embed_two_site(vm.s_matrix(x, t, regime), i, aux, aux)
     return dense
@@ -31,7 +37,7 @@ def dense_monodromy(t, lattice, regime):
 def test_monodromy_matches_dense_product(L, regime):
     lattice = make_lattice(L, regime, seed=200 + L)
     t = vm.random_spectral_point(lattice, regime, np.random.default_rng(210 + L))
-    got = vm.monodromy_matrix(t, lattice, regime, tc.identity_operator(L + 1))
+    got = vm.monodromy_matrix(t, lattice, regime, identity_operator(L + 1))
     assert_close_to_dense(got, dense_monodromy(t, lattice, regime))
 
 
@@ -60,7 +66,7 @@ def test_tail_products_match_dense_products(L, regime):
     # each site's tail, as it acts inside F built on the identity
     lattice = make_lattice(L, regime, seed=220 + L)
     order = tuple(range(1, L + 1))
-    f = fb.apply_factorizer(order, tc.identity_operator(L), lattice, regime)
+    f = fb.apply_factorizer(order, identity_operator(L), lattice, regime)
     for site in order:
         got, before_tail = tail_columns(f, site)
         assert_close_to_dense(got, dense_tail(order, site - 1, lattice, regime) @ before_tail)
@@ -75,7 +81,7 @@ def test_factorizer_matches_dense_product(L, regime):
         orders.append((2, 1) + orders[0][2:])
     for order in orders:
         dense = dense_factorizer(order, lattice, regime)
-        got = fb.apply_factorizer(order, tc.identity_operator(L), lattice, regime)
+        got = fb.apply_factorizer(order, identity_operator(L), lattice, regime)
         assert_close_to_dense(got, dense)
 
 
@@ -133,7 +139,7 @@ def test_apply_two_site_matches_dense_product(L):
 
 
 def test_apply_two_site_rejects_bad_arguments():
-    block = tc.identity_operator(3)
+    block = identity_operator(3)
     with pytest.raises(ValueError):
         tc.apply_two_site_left(block, np.eye(4), 2, 2, 3)
     with pytest.raises(ValueError):
@@ -141,7 +147,7 @@ def test_apply_two_site_rejects_bad_arguments():
     with pytest.raises(ValueError):
         tc.apply_two_site_left(block, np.eye(2), 1, 2, 3)
     with pytest.raises(ValueError):
-        tc.apply_two_site_left(tc.identity_operator(2), np.eye(4), 1, 2, 3)
+        tc.apply_two_site_left(identity_operator(2), np.eye(4), 1, 2, 3)
 
 
 def test_hot_path_builds_no_dense_embedding(monkeypatch, regime):
@@ -156,6 +162,6 @@ def test_hot_path_builds_no_dense_embedding(monkeypatch, regime):
         monkeypatch.setattr(module, "embed_two_site", counted)
     L = 6
     lattice = make_lattice(L, regime, seed=250)
-    vm.monodromy_matrix(0.3 + 0.1j, lattice, regime, tc.identity_operator(L + 1))
+    vm.monodromy_matrix(0.3 + 0.1j, lattice, regime, identity_operator(L + 1))
     fb.factorizing_operator(lattice, regime)
     assert calls == []

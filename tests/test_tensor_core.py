@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sixvertex import tensor_core as tc
 
 from conftest import PERMUTATION_GATE
-from dense_routes import site_occupations
+from dense_routes import identity_operator, site_occupations
 
 
 # Independent bit helpers, written from the convention (site 1 = most
@@ -113,7 +113,7 @@ def test_disjoint_site_operators_commute():
 
 def test_embed_identity_gate():
     assert tc.max_abs_diff(
-        tc.embed_two_site(np.eye(4), 1, 3, 3), tc.identity_operator(3)
+        tc.embed_two_site(np.eye(4), 1, 3, 3), identity_operator(3)
     ) == 0.0
 
 
@@ -127,7 +127,7 @@ def test_embed_permutation_swaps_occupations():
     out = op @ e
     assert out[dst] == 1 and np.count_nonzero(out) == 1
     # involution
-    assert tc.max_abs_diff(op @ op, tc.identity_operator(3)) == 0.0
+    assert tc.max_abs_diff(op @ op, identity_operator(3)) == 0.0
 
 
 def test_embed_matches_bruteforce_oracle():

@@ -10,7 +10,7 @@ from sixvertex import vertex_model as vm
 from sixvertex.errors import DegenerateParametersError, PoleError, SingularWeightError
 
 from conftest import PERMUTATION_GATE, RATIONAL, TRIG, make_lattice
-from dense_routes import dense_entries
+from dense_routes import dense_entries, identity_operator
 
 complex_box = st.builds(
     complex,
@@ -171,7 +171,7 @@ def yang_baxter_residual(t1, t2, t3, regime):
 def test_monodromy_single_site(regime):
     lattice = vm.LatticeSpec(1, (0.21 - 0.05j,))
     t = 0.4 + 0.3j
-    got = vm.monodromy_matrix(t, lattice, regime, tc.identity_operator(lattice.length + 1))
+    got = vm.monodromy_matrix(t, lattice, regime, identity_operator(lattice.length + 1))
     want = tc.embed_two_site(vm.s_matrix(lattice.xi[0], t, regime), 1, 2, 2)
     assert tc.max_abs_diff(got, want) < 1e-15
 
@@ -179,7 +179,7 @@ def test_monodromy_single_site(regime):
 def test_monodromy_first_factor_permutation_at_t_equals_xi1(regime):
     lattice = vm.LatticeSpec(2, (0.3, -0.2))
     t = lattice.xi[0]
-    got = vm.monodromy_matrix(t, lattice, regime, tc.identity_operator(lattice.length + 1))
+    got = vm.monodromy_matrix(t, lattice, regime, identity_operator(lattice.length + 1))
     want = tc.embed_two_site(PERMUTATION_GATE, 1, 3, 3) @ tc.embed_two_site(
         vm.s_matrix(lattice.xi[1], t, regime), 2, 3, 3
     )
@@ -189,7 +189,7 @@ def test_monodromy_first_factor_permutation_at_t_equals_xi1(regime):
 def test_monodromy_matches_block_path_oracle(regime):
     lattice = make_lattice(3, regime, seed=11)
     t = 0.17 - 0.23j
-    got = vm.monodromy_matrix(t, lattice, regime, tc.identity_operator(lattice.length + 1))
+    got = vm.monodromy_matrix(t, lattice, regime, identity_operator(lattice.length + 1))
     want = monodromy_by_block_paths(t, lattice, regime)
     assert tc.max_abs_diff(got, want) < 1e-13
 
@@ -198,7 +198,7 @@ def test_monodromy_pole_names_site(regime):
     lattice = vm.LatticeSpec(2, (0.3, -0.2))
     t = lattice.xi[1] + regime.eta
     with pytest.raises(SingularWeightError, match="site 2"):
-        vm.monodromy_matrix(t, lattice, regime, tc.identity_operator(lattice.length + 1))
+        vm.monodromy_matrix(t, lattice, regime, identity_operator(lattice.length + 1))
 
 
 def test_entries_single_site(regime):
@@ -245,7 +245,7 @@ def test_vacuum_actions_random(regime):
 def test_entries_convention_check_catches_mislabels(regime):
     lattice = make_lattice(2, regime, seed=7)
     t = 0.9 + 0.1j
-    full = vm.monodromy_matrix(t, lattice, regime, tc.identity_operator(lattice.length + 1))
+    full = vm.monodromy_matrix(t, lattice, regime, identity_operator(lattice.length + 1))
     swapped = vm.MonodromyEntries(
         a=full[0::2, 0::2], b=full[0::2, 1::2], c=full[1::2, 0::2], d=full[1::2, 1::2]
     )
@@ -271,8 +271,8 @@ def test_transfer_matrices_commute(regime):
     rng = np.random.default_rng(9)
     t1 = vm.random_spectral_point(lattice, regime, rng)
     t2 = vm.random_spectral_point(lattice, regime, rng)
-    z1 = vm.transfer_matrix(t1, lattice, regime, tc.identity_operator(lattice.length))
-    z2 = vm.transfer_matrix(t2, lattice, regime, tc.identity_operator(lattice.length))
+    z1 = vm.transfer_matrix(t1, lattice, regime, identity_operator(lattice.length))
+    z2 = vm.transfer_matrix(t2, lattice, regime, identity_operator(lattice.length))
     assert tc.max_abs_diff(z1 @ z2, z2 @ z1) < 1e-10
 
 
@@ -289,7 +289,7 @@ def test_eigenvalue_closed_case_matches_exact_diagonalization():
     lattice = vm.LatticeSpec(2, (0.0, 0.0))
     lam = vm.transfer_eigenvalue(0.0, (0.5,), lattice, RATIONAL)
     assert abs(lam - (-1.0)) < 1e-13
-    z0 = vm.transfer_matrix(0.0, lattice, RATIONAL, tc.identity_operator(lattice.length))
+    z0 = vm.transfer_matrix(0.0, lattice, RATIONAL, identity_operator(lattice.length))
     eigs = np.linalg.eigvals(z0)
     assert min(abs(e - lam) for e in eigs) < 1e-12
 
