@@ -140,7 +140,7 @@ def bae_residuals(q, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
     return _bethe_system(tuple(complex(v) for v in q), lattice, regime)[0]
 
 
-def _newton(q0, lattice, regime, tol):
+def _newton(q0, lattice, regime):
     """Newton run from q0: (last iterate, its max residual, converged, why it
     failed).  The reason is "" unless the run ended on an exception or a
     non-finite step, which leave the residual at inf."""
@@ -152,8 +152,8 @@ def _newton(q0, lattice, regime, tol):
         try:
             residuals, r, jac = _bethe_system(q, lattice, regime)
             res = float(np.max(residuals))
-            if res < tol or iteration == MAX_NEWTON_ITER:
-                return q, res, res < tol, ""
+            if res < SOLVE_TOL or iteration == MAX_NEWTON_ITER:
+                return q, res, res < SOLVE_TOL, ""
             step = np.linalg.solve(jac, -r)
         except ValueError as exc:
             return q, np.inf, False, f"{type(exc).__name__}: {exc}"
@@ -185,7 +185,7 @@ def _decoupled_seed(branch: int, n_sites: int, center: complex, regime: Regime) 
     return center - u
 
 
-def _homogeneous_starts(magnons, L, center, regime, rng, tol, trace):
+def _homogeneous_starts(magnons, L, center, regime, rng, trace):
     """Converged roots at the homogeneous point, with their branch sets, one
     at a time: every branch set unjittered, then every branch set under
     jitter of 1e-2, 1e-1 and 1 drawn from ``rng``."""
@@ -202,7 +202,7 @@ def _homogeneous_starts(magnons, L, center, regime, rng, tol, trace):
                 ]
             except (ZeroDivisionError, ValueError):  # ValueError: atan's argument is +-i
                 continue
-            q, res, ok, reason = _newton(q0, lattice=homogeneous, regime=regime, tol=tol)
+            q, res, ok, reason = _newton(q0, lattice=homogeneous, regime=regime)
             if ok:
                 trace.append(f"homogeneous solve ok from branches {branches} (res {res:.2e})")
                 yield branches, q
@@ -210,7 +210,7 @@ def _homogeneous_starts(magnons, L, center, regime, rng, tol, trace):
                 trace.append(f"branches {branches}: no convergence {_failure(res, reason)}")
 
 
-def _homotopy(q, center, lattice, regime, tol, trace):
+def _homotopy(q, center, lattice, regime, trace):
     """Follow roots from the homogeneous point (s = 0) to the lattice (s = 1),
     re-converging Newton at every leg; a failed leg is halved.  Returns the
     roots at s = 1, or None and the s it stalled at when a leg falls below
@@ -224,7 +224,7 @@ def _homotopy(q, center, lattice, regime, tol, trace):
         h = min(h, 1.0 - s)
         xi_next = tuple(center + (s + h) * (x - center) for x in target)
         leg_lattice = LatticeSpec(L, xi_next)
-        q_next, res, ok, reason = _newton(q, lattice=leg_lattice, regime=regime, tol=tol)
+        q_next, res, ok, reason = _newton(q, lattice=leg_lattice, regime=regime)
         if ok:
             q = q_next
             s += h
@@ -238,11 +238,7 @@ def _homotopy(q, center, lattice, regime, tol, trace):
 
 
 def solve_bethe_roots(
-    magnons: int,
-    lattice: LatticeSpec,
-    regime: Regime,
-    seed: int = 0,
-    tol: float = SOLVE_TOL,
+    magnons: int, lattice: LatticeSpec, regime: Regime, seed: int = 0
 ) -> BetheRoots:
     """Solve for a set of Bethe roots on the given lattice.
 
@@ -272,8 +268,8 @@ def solve_bethe_roots(
     center = sum(lattice.xi) / L
     trace: list[str] = []
     stalls = 0
-    for branches, q_start in _homogeneous_starts(magnons, L, center, regime, rng, tol, trace):
-        q, s = _homotopy(q_start, center, lattice, regime, tol, trace)
+    for branches, q_start in _homogeneous_starts(magnons, L, center, regime, rng, trace):
+        q, s = _homotopy(q_start, center, lattice, regime, trace)
         if q is not None:
             break
         stalls += 1
@@ -288,9 +284,9 @@ def solve_bethe_roots(
         )
 
     residual = float(np.max(bae_residuals(q, lattice, regime)))
-    if residual >= tol:
+    if residual >= SOLVE_TOL:
         raise SolverFailureError(
-            f"final residual {residual:.3e} above tolerance {tol:.1e}", trace
+            f"final residual {residual:.3e} above tolerance {SOLVE_TOL:.1e}", trace
         )
     return BetheRoots(tuple(q), residual, regime.family, regime.eta, lattice.xi)
 

@@ -21,7 +21,6 @@ _KEYS = {
     "xi_spread": ("xi_spread", float),
     "seed": ("seed", int),
     "tolerance": ("tolerance", float),
-    "perm_cap": ("perm_cap", int),
     "output_dir": ("output_dir", Path),
 }
 
@@ -38,7 +37,6 @@ class RunConfig:
     xi_spread: float | None = None  # None: per-family default
     seed: int = 7
     tolerance: float | None = None  # None: per-check defaults
-    perm_cap: int = PERMUTATION_CAP
     output_dir: Path = Path("out")
 
     def __post_init__(self):
@@ -52,6 +50,9 @@ class RunConfig:
         # A rational sector M holds C(L, M) - C(L, M-1) regular root sets: none past L/2.
         if self.family == "rational" and 2 * self.magnons > self.length:
             raise ConfigError(f"rational M={self.magnons} must satisfy 2M <= L={self.length}")
+        # the wave table and periodicity check sum over M! permutations
+        if self.magnons > PERMUTATION_CAP:
+            raise ConfigError(f"M={self.magnons} exceeds the permutation-sum cap {PERMUTATION_CAP}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.tolerance is not None and not 0 < self.tolerance < np.inf:
@@ -66,9 +67,6 @@ class RunConfig:
             )
         if self.xi is not None and not np.all(np.isfinite(self.xi)):
             raise ConfigError(f"explicit xi list must be finite, got {self.xi}")
-        # dwbc_sum_vs_recurrence sums at M=2 and the wave table at the configured M
-        if self.perm_cap < max(2, self.magnons):
-            raise ConfigError(f"perm_cap={self.perm_cap} must be at least max(2, M={self.magnons})")
         object.__setattr__(self, "eta", complex(self.eta))
         if self.xi is not None:
             object.__setattr__(self, "xi", tuple(complex(x) for x in self.xi))
@@ -121,5 +119,4 @@ def config_as_dict(config: RunConfig, lattice: LatticeSpec | None = None) -> dic
         "xi_spread": config.xi_spread,
         "seed": config.seed,
         "tolerance": config.tolerance,
-        "perm_cap": config.perm_cap,
     }

@@ -10,21 +10,20 @@ measured, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
 from .bethe import bae_residuals, bethe_vector
-from .errors import SizeCapError
 from .tensor_core import index_of_sites
 from .textio import write_text_atomic
 from .vertex_model import (
-    PERMUTATION_CAP,
     LatticeSpec,
     Regime,
     b_weight,
     c_weight,
     c_weight_inv,
+    capped_permutations,
 )
 
 # Oracle entries below this fraction of max|oracle| are left out of the ratio.
@@ -81,21 +80,18 @@ def perm_amplitude(perm, q, regime: Regime) -> complex:
     return out
 
 
-def psi_formula(
-    x, q, lattice: LatticeSpec, regime: Regime, cap: int = PERMUTATION_CAP
-) -> complex:
+def psi_formula(x, q, lattice: LatticeSpec, regime: Regime) -> complex:
     """Wave-function amplitude as the sum over permutations of the roots."""
     x = validate_configuration(x, lattice.length)
     q = tuple(complex(v) for v in q)
     if len(x) != len(q):
         raise ValueError(f"{len(x)} coordinates vs {len(q)} roots")
     m = len(q)
-    if m > cap:
-        raise SizeCapError(f"permutation sum over {m}! terms exceeds cap {cap}!")
+    perms = capped_permutations(m)
     # cache the M x M table of single-particle factors
     table = [[phi_site(xv, qv, lattice, regime) for qv in q] for xv in x]
     total = 0.0 + 0.0j
-    for perm in permutations(range(m)):
+    for perm in perms:
         term = perm_amplitude(perm, q, regime)
         for slot in range(m):
             term *= table[slot][perm[slot]]
@@ -118,9 +114,7 @@ class WaveTable:
         return max(abs(v) for v in self.entries.values())
 
 
-def wave_table(
-    q, lattice: LatticeSpec, regime: Regime, provenance: str = "formula", cap: int = PERMUTATION_CAP
-) -> WaveTable:
+def wave_table(q, lattice: LatticeSpec, regime: Regime, provenance: str = "formula") -> WaveTable:
     """Tabulate the wave function over every ordered configuration."""
     if provenance not in ("formula", "oracle"):
         raise ValueError(f"provenance must be formula or oracle, got {provenance!r}")
@@ -132,7 +126,7 @@ def wave_table(
             table.entries[x] = complex(vec[index_of_sites(x, lattice.length)])
     else:
         for x in configurations(lattice.length, len(q)):
-            table.entries[x] = psi_formula(x, q, lattice, regime, cap=cap)
+            table.entries[x] = psi_formula(x, q, lattice, regime)
     return table
 
 
@@ -186,12 +180,13 @@ def periodicity_check(q, lattice: LatticeSpec, regime: Regime) -> PeriodicityChe
 
     For each P the ratio of amplitudes A(P)/A(PC), with C the cyclic shift,
     must equal prod_l 1/c(xi_l - q_{P1}).  The condition is equivalent to
-    the Bethe equations, so both residuals are returned together.
+    the Bethe equations, so both residuals are returned together; with no
+    roots it holds vacuously.
     """
     q = tuple(complex(v) for v in q)
-    m = len(q)
+    perms = capped_permutations(len(q)) if q else ()
     worst = 0.0
-    for perm in permutations(range(m)):
+    for perm in perms:
         lhs = perm_amplitude(perm, q, regime) / perm_amplitude(_cycled(perm), q, regime)
         rhs = 1.0 + 0.0j
         for xi_l in lattice.xi:

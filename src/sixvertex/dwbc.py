@@ -9,14 +9,13 @@ memoized over the subset of surviving columns (2^M states instead of M!).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain
+from math import factorial
 
 import numpy as np
 
-from .errors import SizeCapError
 from .vertex_model import (
     _SAMPLING,
-    PERMUTATION_CAP,
     SPECTRAL_GUARD,
     Regime,
     _box_points,
@@ -24,6 +23,7 @@ from .vertex_model import (
     _first_close_pair,
     b_weight,
     c_weight,
+    capped_permutations,
 )
 
 DISTINCTNESS_FLOOR = 1e-10
@@ -55,13 +55,13 @@ class DwbcInput:
         return len(self.q)
 
 
-def dwbc_sum(inp: DwbcInput, cap: int = PERMUTATION_CAP) -> complex:
+def dwbc_sum(inp: DwbcInput) -> complex:
     """Sum of all M! permutation terms, evaluated with gathered weight tables."""
     m = inp.size
-    if m > cap:
-        raise SizeCapError(f"permutation sum over {m}! terms exceeds cap {cap}!")
-    if m == 0:
-        return 1.0 + 0.0j
+    # one row per ordering P, in itertools order, which fixes the summation order
+    perms = np.fromiter(
+        chain.from_iterable(capped_permutations(m)), np.intp, m * factorial(m)
+    ).reshape(factorial(m), m)
     mu, q, regime = inp.mu, inp.q, inp.regime
     b_tab = np.array([[b_weight(mu[i] - q[j], regime) for j in range(m)] for i in range(m)])
     c_tab = np.array([[c_weight(mu[i] - q[j], regime) for j in range(m)] for i in range(m)])
@@ -71,7 +71,6 @@ def dwbc_sum(inp: DwbcInput, cap: int = PERMUTATION_CAP) -> complex:
             for i in range(m)
         ]
     )
-    perms = np.array(list(permutations(range(m))))
     terms = np.ones(len(perms), dtype=complex)
     for i in range(m):
         terms *= b_tab[i, perms[:, i]]

@@ -30,7 +30,7 @@ class PoleError(ValueError):
 
 
 class SizeCapError(ValueError):
-    """Requested permutation sum exceeds the configured size cap."""
+    """Requested permutation sum exceeds the fixed size cap, PERMUTATION_CAP."""
 
 
 class ConfigError(ValueError):

@@ -214,16 +214,16 @@ def _check_eigenvector(ctx):
     return worst, {"spectral_samples": 3, "M": roots.magnons}
 
 
-def _wave_tables(roots, lattice, regime, config):
+def _wave_tables(roots, lattice, regime):
     """Formula and oracle wave tables of the roots, and their measured ratio."""
-    formula = coordinate_wf.wave_table(roots.q, lattice, regime, "formula", cap=config.perm_cap)
+    formula = coordinate_wf.wave_table(roots.q, lattice, regime, "formula")
     oracle = coordinate_wf.wave_table(roots.q, lattice, regime, "oracle")
     return formula, oracle, coordinate_wf.ratio_statistic(formula, oracle)
 
 
 def _check_wavefunction_ratio(ctx):
-    regime, lattice, config = ctx["regime"], ctx["lattice"], ctx["config"]
-    _, _, stat = _wave_tables(_require_roots(ctx), lattice, regime, config)
+    regime, lattice = ctx["regime"], ctx["lattice"]
+    _, _, stat = _wave_tables(_require_roots(ctx), lattice, regime)
     return stat.spread, {
         "configurations": stat.n_total,
         "used": stat.n_used,
@@ -257,14 +257,14 @@ def _check_periodicity(ctx):
 
 
 def _check_dwbc(ctx):
-    rng, regime, config = ctx["rng"], ctx["regime"], ctx["config"]
+    rng, regime = ctx["rng"], ctx["regime"]
     worst = 0.0
-    sizes = (2, min(5, config.perm_cap))
+    sizes = (2, 5)
     draws = 5
     for m in sizes:
         for _ in range(draws):
             inp = dwbc.random_input(m, regime, rng)
-            total = dwbc.dwbc_sum(inp, cap=config.perm_cap)
+            total = dwbc.dwbc_sum(inp)
             rec = dwbc.dwbc_recurrence(inp)
             worst = max(worst, abs(total - rec) / abs(total))
     return worst, {"sizes": list(sizes), "draws_per_size": draws}
@@ -365,7 +365,7 @@ def run_wavefunction(config: RunConfig, roots_path, out_path) -> coordinate_wf.R
         raise ProvenanceError(
             "roots document was solved for a different lattice/regime than the config resolves"
         )
-    formula, oracle, stat = _wave_tables(roots, lattice, regime, config)
+    formula, oracle, stat = _wave_tables(roots, lattice, regime)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     coordinate_wf.export_wave_tables(

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
-from .errors import DegenerateParametersError, PoleError, SingularWeightError
+from .errors import DegenerateParametersError, PoleError, SingularWeightError, SizeCapError
 from .tensor_core import apply_two_site_left
 # Unused here; perfbench/selftest.py checks that tracing wraps this binding.
 from .tensor_core import embed_two_site  # noqa: F401
@@ -22,8 +23,8 @@ POLE_TOL = 1e-12
 # Closest phi(t - q_alpha) at which transfer_eigenvalue still evaluates.
 EIGENVALUE_POLE_TOL = 1e-8
 GENERICITY_FLOOR = 1e-6
-# Largest M whose M!-term permutation sums (wave function, partition
-# function) run unless a caller raises the cap.
+# Largest M whose M!-term permutation sums (wave function, periodicity,
+# partition function) run; larger M needs an O(M^3) determinant route.
 PERMUTATION_CAP = 9
 
 FAMILIES = ("rational", "trigonometric")
@@ -39,6 +40,14 @@ _SAMPLING = {
 SPECTRAL_GUARD = 0.15
 # Draws every rejection sampler makes before giving up.
 MAX_TRIES = 2000
+
+
+def capped_permutations(m: int):
+    """Every ordering of range(m), for an M!-term sum; raises SizeCapError
+    past PERMUTATION_CAP, before the caller evaluates any weight."""
+    if m > PERMUTATION_CAP:
+        raise SizeCapError(f"permutation sum over {m}! terms exceeds cap {PERMUTATION_CAP}!")
+    return permutations(range(m))
 
 
 @dataclass(frozen=True)

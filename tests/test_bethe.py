@@ -71,10 +71,11 @@ def test_solve_zero_particles(regime):
     assert roots.q == () and roots.residual == 0.0
 
 
-def test_solve_unreachable_tolerance_fails_with_trace(regime):
+def test_solve_unreachable_tolerance_fails_with_trace(regime, monkeypatch):
     lattice = make_lattice(4, regime, seed=11)
+    monkeypatch.setattr(bethe, "SOLVE_TOL", 1e-30)
     with pytest.raises(SolverFailureError) as info:
-        bethe.solve_bethe_roots(2, lattice, regime, seed=1, tol=1e-30)
+        bethe.solve_bethe_roots(2, lattice, regime, seed=1)
     assert isinstance(info.value.trace, list)
 
 
@@ -374,15 +375,15 @@ def reference_public_residuals(q, lattice, regime):
     return reference_residuals(tuple(complex(v) for v in q), lattice, regime)
 
 
-def reference_newton(q0, lattice, regime, tol):
+def reference_newton(q0, lattice, regime):
     """The Newton loop that evaluates the Bethe equations twice per iterate:
     the residual on Python complex roots, then the two-table system."""
     q = np.asarray(q0, dtype=complex).copy()
     for iteration in range(bethe.MAX_NEWTON_ITER + 1):
         try:
             res = float(np.max(reference_public_residuals(q, lattice, regime)))
-            if res < tol or iteration == bethe.MAX_NEWTON_ITER:
-                return q, res, res < tol, ""
+            if res < bethe.SOLVE_TOL or iteration == bethe.MAX_NEWTON_ITER:
+                return q, res, res < bethe.SOLVE_TOL, ""
             r, jac = reference_newton_system(q, lattice, regime)
             step = np.linalg.solve(jac, -r)
         except ValueError as exc:
@@ -603,10 +604,10 @@ def test_solver_raises_only_when_every_start_stalls(monkeypatch):
     # followed, logged as abandoned, and the error carries the whole trace.
     newton = bethe._newton
 
-    def failing_legs(q0, lattice, regime, tol):
+    def failing_legs(q0, lattice, regime):
         if len(set(lattice.xi)) > 1:
             return q0, np.inf, False, "ValueError: forced"
-        return newton(q0, lattice, regime, tol)
+        return newton(q0, lattice, regime)
 
     monkeypatch.setattr(bethe, "_newton", failing_legs)
     lattice = make_lattice(4, RATIONAL, seed=3)

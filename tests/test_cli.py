@@ -20,7 +20,6 @@ M: 1
 xi: random
 xi_spread: 0.3
 seed: 11
-perm_cap: 9
 """
 
 
@@ -160,7 +159,7 @@ KEY_CASES = [
     ("xi_spread: 0.25", "xi_spread", 0.25),
     ("seed: 11", "seed", 11),
     ("tolerance: 1e-9", "tolerance", 1e-9),
-    ("perm_cap: 5", "perm_cap", 5),
+    ("M: 0", "magnons", 0),
     ("output_dir: runs/a", "output_dir", Path("runs/a")),
 ]
 
@@ -188,8 +187,8 @@ def test_parse_key_cases_cover_every_key():
         "xi_spread: wide",
         "seed: 7.5",
         "tolerance: small",
-        "perm_cap: nine",
-        "perm_cap: 0",
+        "L: 20\nM: 10",
+        "regime: trigonometric\nL: 11\nM: 10",
     ],
 )
 def test_parse_rejects_bad_value(line):
@@ -447,28 +446,32 @@ def test_cli_wavefunction_rejects_malformed_roots(tmp_path, capsys, extra, messa
     assert not wave_path.exists()
 
 
-# perm_cap below max(2, M): dwbc_sum_vs_recurrence sums at M=2 and the
-# wave table at the configured M, so either failed by construction.
-SMALL_PERM_CAPS = [
-    ("M: 1\nperm_cap: 1\n", "perm_cap=1 must be at least max(2, M=1)"),
-    ("M: 0\nperm_cap: 1\n", "perm_cap=1 must be at least max(2, M=0)"),
-    ("L: 8\nM: 4\nperm_cap: 3\n", "perm_cap=3 must be at least max(2, M=4)"),
+# Both sums that the verify and wavefunction commands make run over M!
+# permutations, so a config past the one cap is bad input.
+ABOVE_CAP = [
+    pytest.param("L: 20\nM: 10\n", "M=10 exceeds the permutation-sum cap 9", id="rational"),
+    pytest.param(
+        "regime: trigonometric\nL: 11\nM: 10\n",
+        "M=10 exceeds the permutation-sum cap 9",
+        id="trigonometric",
+    ),
+    pytest.param("L: 30\nM: 15\n", "M=15 exceeds the permutation-sum cap 9", id="rational-far-above"),
 ]
 
 
-@pytest.mark.parametrize("text, message", SMALL_PERM_CAPS)
-def test_parse_rejects_perm_cap_below_the_sizes_it_must_sum(text, message):
+@pytest.mark.parametrize("text, message", ABOVE_CAP)
+def test_parse_rejects_m_above_the_permutation_cap(text, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config_text(text)
 
 
-def test_parse_accepts_the_smallest_perm_cap():
-    assert parse_config_text("M: 1\nperm_cap: 2\n").perm_cap == 2
-    assert parse_config_text("L: 8\nM: 4\nperm_cap: 4\n").perm_cap == 4
+def test_parse_accepts_m_at_the_permutation_cap():
+    assert parse_config_text("L: 18\nM: 9\n").magnons == 9
+    assert parse_config_text("regime: trigonometric\nL: 10\nM: 9\n").magnons == 9
 
 
-@pytest.mark.parametrize("text, message", SMALL_PERM_CAPS)
-def test_cli_verify_rejects_small_perm_cap(tmp_path, capsys, text, message):
+@pytest.mark.parametrize("text, message", ABOVE_CAP)
+def test_cli_verify_rejects_m_above_the_permutation_cap(tmp_path, capsys, text, message):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     out_dir = tmp_path / "out"
@@ -477,17 +480,29 @@ def test_cli_verify_rejects_small_perm_cap(tmp_path, capsys, text, message):
     assert not out_dir.exists()
 
 
-def test_cli_wavefunction_rejects_perm_cap_below_m(tmp_path, capsys):
-    # the roots exist, but the formula table cannot be summed under the cap
+def test_cli_verify_refuses_the_retired_perm_cap_key(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL_CONFIG + "perm_cap: 9\n")
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--output-dir", str(out_dir)]) == 2
+    assert "line 9: unknown key 'perm_cap'" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_wavefunction_rejects_roots_above_the_permutation_cap(tmp_path, capsys):
+    # The document matches the config's lattice, but its 10 roots would need
+    # a 10!-term formula table: bad input, reported on one line.
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("L: 6\nM: 3\nxi: random\nseed: 3\n")
+    cfg_path.write_text("regime: trigonometric\neta: 0.7\nL: 11\nM: 2\nxi: random\nseed: 2\n")
+    cfg = load_config(cfg_path)
+    lattice = cfg.resolve_lattice(np.random.default_rng(cfg.seed))
+    q = tuple(0.1 * k + 0.05j for k in range(10))
     roots_path = tmp_path / "roots.txt"
-    assert main(["solve", "--config", str(cfg_path), "--out", str(roots_path)]) == 0
-    cfg_path.write_text(cfg_path.read_text() + "perm_cap: 2\n")
+    bethe.write_roots(bethe.BetheRoots(q, 1.0, "trigonometric", 0.7, lattice.xi), roots_path)
     wave_path = tmp_path / "wave.txt"
     argv = ["wavefunction", "--config", str(cfg_path), "--roots", str(roots_path)]
     assert main(argv + ["--out", str(wave_path)]) == 2
-    assert "perm_cap=2 must be at least max(2, M=3)" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: permutation sum over 10! terms exceeds cap 9!\n"
     assert not wave_path.exists()
 
 
@@ -528,6 +543,13 @@ def test_cli_dwbc_rejects_negative_size(capsys):
 def test_cli_dwbc_empty_size(capsys):
     assert main(["dwbc", "--m", "0"]) == 0
     assert "permutation sum : (1+0j)" in capsys.readouterr().out
+
+
+def test_verify_with_no_roots_passes_every_check(regime):
+    # no roots: the amplitude condition holds vacuously
+    report = run_verify(RunConfig(family=regime.family, eta=regime.eta, length=4, magnons=0))
+    assert [(r.name, r.note) for r in report.results if not r.passed] == []
+    assert [r.residual for r in report.results if r.name == "periodicity"] == [0.0]
 
 
 def test_run_wavefunction_zero_particles(tmp_path):

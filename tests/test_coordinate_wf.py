@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,10 +162,28 @@ def test_periodicity_covanishes_with_bae(regime):
         assert (check.amplitude_residual < 1e-9) == (check.bae_residual < 1e-9)
 
 
+TEN_ROOTS = tuple(0.1 * k + 0.05j for k in range(10))
+ELEVEN_SITES = vm.LatticeSpec(11, tuple(0.1j * k for k in range(11)))
+
+
 def test_formula_size_cap(regime):
-    lattice = make_lattice(4, regime, seed=12)
-    with pytest.raises(SizeCapError):
-        cw.psi_formula((1, 2, 3), (0.1, 0.2, 0.3), lattice, regime, cap=2)
+    with pytest.raises(SizeCapError, match=re.escape("sum over 10! terms exceeds cap 9!")):
+        cw.psi_formula(tuple(range(1, 11)), TEN_ROOTS, ELEVEN_SITES, regime)
+
+
+def test_periodicity_size_cap_raises_before_any_weight(regime, monkeypatch):
+    # 10! orderings are past the one cap: the check stops before any weight.
+    calls = []
+    monkeypatch.setattr(cw, "c_weight_inv", lambda *args: calls.append(args))
+    with pytest.raises(SizeCapError, match=re.escape("sum over 10! terms exceeds cap 9!")):
+        cw.periodicity_check(TEN_ROOTS, ELEVEN_SITES, regime)
+    assert calls == []
+
+
+def test_periodicity_of_no_roots_holds_vacuously(regime):
+    # The one empty ordering has no first root to take the condition at.
+    check = cw.periodicity_check((), make_lattice(4, regime, seed=7), regime)
+    assert check == cw.PeriodicityCheck(0.0, 0.0)
 
 
 def test_configuration_validation(regime):
@@ -211,3 +231,52 @@ def test_export_empty_configuration_row(tmp_path, regime):
     lines = out.read_text().splitlines()
     assert lines[0].split() == ["re_psi", "im_psi", "provenance"]
     assert lines[1].split() == ["1.0", "0.0", "oracle"]
+
+
+# Off-shell M = 3 roots on the seeded L = 5 lattice: repr of psi_formula on
+# every configuration, in order, and of both periodicity residuals.
+PINNED_Q = (0.1 + 0.2j, -0.3 + 0.1j, 0.4 - 0.25j)
+PINNED_PSI = {
+    "rational": (
+        "(-0.06206750736157289-0.025056107558448858j)",
+        "(0.010434702469071128+0.0007333498627429217j)",
+        "(0.16491925651347622-0.05967668187272996j)",
+        "(0.037023413349657815+0.019601777824085512j)",
+        "(0.1622612845429236+0.19164556631644125j)",
+        "(-0.06964554611156555-0.19064836063989862j)",
+        "(0.041711880473724+0.05167795782804396j)",
+        "(-0.012181704781813275+0.5770138784623777j)",
+        "(-0.05218699400359736-0.3561498395602477j)",
+        "(0.33538384731839993-0.5796516803654873j)",
+    ),
+    "trigonometric": (
+        "(-0.009877785726243076-0.07860731200898638j)",
+        "(0.01981846081966561-0.006268992813218559j)",
+        "(0.27273375583101733+0.06229769630865109j)",
+        "(0.03711972851609183+0.05068274758632784j)",
+        "(-0.022092258010505877+0.3470100969690529j)",
+        "(0.05852712136255733-0.21033139490755556j)",
+        "(0.05074858581056767+0.056955526642357736j)",
+        "(-0.13181714499353706+0.5208683000881281j)",
+        "(-0.13509151187225793-0.4005920617079366j)",
+        "(0.31876432188856746-0.5034366773115027j)",
+    ),
+}
+PINNED_PERIODICITY = {
+    "rational": ("27.277407776870653", "6.18993747597463"),
+    "trigonometric": ("8.322381989168608", "4.453194511923364"),
+}
+
+
+def test_formula_values_are_pinned(regime):
+    lattice = make_lattice(5, regime, seed=21)
+    got = tuple(
+        repr(cw.psi_formula(x, PINNED_Q, lattice, regime)) for x in cw.configurations(5, 3)
+    )
+    assert got == PINNED_PSI[regime.family]
+
+
+def test_periodicity_values_are_pinned(regime):
+    check = cw.periodicity_check(PINNED_Q, make_lattice(5, regime, seed=21), regime)
+    got = (repr(check.amplitude_residual), repr(check.bae_residual))
+    assert got == PINNED_PERIODICITY[regime.family]

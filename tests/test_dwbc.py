@@ -1,3 +1,4 @@
+import re
 import time
 from itertools import permutations
 
@@ -106,13 +107,53 @@ def test_rejects_length_mismatch(regime):
         dwbc.DwbcInput((0.1,), (0.3, 0.4), regime)
 
 
-def test_size_cap(regime):
-    inp = random_input(4, regime, seed=7)
-    with pytest.raises(SizeCapError):
-        dwbc.dwbc_sum(inp, cap=3)
+def test_size_cap(regime, monkeypatch):
+    mu, q = tuple(0.1j * k for k in range(10)), tuple(0.1 * k for k in range(10))
+    inp = dwbc.DwbcInput(mu, q, regime)
+    calls = []
+    monkeypatch.setattr(dwbc, "b_weight", lambda *args: calls.append(args))
+    monkeypatch.setattr(dwbc, "c_weight", lambda *args: calls.append(args))
+    with pytest.raises(SizeCapError, match=re.escape("sum over 10! terms exceeds cap 9!")):
+        dwbc.dwbc_sum(inp)
+    assert calls == []
 
 
 def test_empty_input(regime):
     inp = dwbc.DwbcInput((), (), regime)
     assert dwbc.dwbc_sum(inp) == 1.0 + 0.0j
     assert dwbc.dwbc_recurrence(inp) == 1.0 + 0.0j
+
+
+# repr of dwbc_sum on random_input(m) for m = 1..9, drawn in turn from one
+# generator seeded 5; any change to the permutation order, the gathered
+# tables or the product order shows here bit for bit.
+PINNED_SUMS = {
+    "rational": (
+        "(0.3142843014404069-0.2633987195722334j)",
+        "(-0.8131689400660568+0.7651359919681617j)",
+        "(-0.2504216832206555-0.34051021603440434j)",
+        "(0.21674358631010388-0.0347170886401741j)",
+        "(0.4216278611164167+0.13834776562165269j)",
+        "(0.08811718287871526+0.1191450388478135j)",
+        "(0.2982847392806578-1.3907907500337267j)",
+        "(4.755236334255949-5.725284817874514j)",
+        "(-4.500590009251297-0.7773567834732868j)",
+    ),
+    "trigonometric": (
+        "(0.3994019571401979-0.09340363221116026j)",
+        "(-0.1066332294175696+0.8096852792828018j)",
+        "(0.0485805264320813-0.03215916583080698j)",
+        "(0.28672765583644044-0.14941319305143622j)",
+        "(0.5671281765556028+0.3289374092920825j)",
+        "(0.29943393164592946-0.14349691666024478j)",
+        "(2.075031452834883-0.8116643154538017j)",
+        "(7.590198712786069-7.055731738690071j)",
+        "(0.4042247426486155-0.3081539785725622j)",
+    ),
+}
+
+
+def test_sum_values_are_pinned(regime):
+    rng = np.random.default_rng(5)
+    got = tuple(repr(dwbc.dwbc_sum(dwbc.random_input(m, regime, rng))) for m in range(1, 10))
+    assert got == PINNED_SUMS[regime.family]

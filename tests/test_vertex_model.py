@@ -1,4 +1,8 @@
+import ast
+import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,12 @@ from hypothesis import strategies as st
 
 from sixvertex import tensor_core as tc
 from sixvertex import vertex_model as vm
-from sixvertex.errors import DegenerateParametersError, PoleError, SingularWeightError
+from sixvertex.errors import (
+    DegenerateParametersError,
+    PoleError,
+    SingularWeightError,
+    SizeCapError,
+)
 
 from conftest import PERMUTATION_GATE, RATIONAL, TRIG, make_lattice
 from dense_routes import dense_entries, identity_operator
@@ -318,3 +327,27 @@ def test_lattice_validation():
     generic = vm.LatticeSpec(2, (0.2, 0.9))
     assert generic.is_generic(RATIONAL)
     generic.require_generic(RATIONAL)
+
+
+def _uses_itertools_permutations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(alias.name == "permutations" for alias in node.names):
+                return True
+        if isinstance(node, ast.Attribute) and node.attr == "permutations":
+            return True
+    return False
+
+
+def test_permutations_come_from_the_capped_enumerator():
+    # Every M!-term sum takes its orderings from one place, under one cap.
+    src = Path(vm.__file__).parent
+    users = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if _uses_itertools_permutations(ast.parse(path.read_text()))
+    ]
+    assert users == ["vertex_model.py"]
+    assert list(vm.capped_permutations(3)) == list(itertools.permutations(range(3)))
+    with pytest.raises(SizeCapError, match=re.escape("sum over 10! terms exceeds cap 9!")):
+        vm.capped_permutations(10)
