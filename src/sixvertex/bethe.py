@@ -11,6 +11,7 @@ the inhomogeneities, along which the ratio stays near one.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -140,11 +141,34 @@ def bae_residuals(q, lattice: LatticeSpec, regime: Regime) -> np.ndarray:
     return _bethe_system(tuple(complex(v) for v in q), lattice, regime)[0]
 
 
+def _escape_radius(center, lattice: LatticeSpec, regime: Regime) -> float:
+    """How far from the mean inhomogeneity a Newton iterate may go: L·|η| plus
+    the lattice's own extent in the rational family, unbounded otherwise.
+
+    Far from the chain a rational root's log-ratio goes like κ/u (κ constant)
+    and its Jacobian like -κ/u², so the Newton step is about +u: the unit
+    clamp walks the root outward one unit per iteration while the residual
+    decays only like L|η|/|u|.  Such a run heads for a root at infinity, which
+    describes an SU(2) descendant that the solver never returns.  A regular
+    root stays near the chain: a single root at the homogeneous point has
+    |u| = |η| / (2 sin(πk/L)) <= L|η|/4, so the radius scales with |η| (a
+    fixed one stops converging runs at large |η|).  Trigonometric roots have
+    no infinity to escape to (c -> exp(∓iη) as Im t -> ±∞), and their
+    converged runs do wander far, so they are never stopped.
+    """
+    if regime.family != "rational":
+        return math.inf
+    return lattice.length * abs(regime.eta) + max(abs(x - center) for x in lattice.xi)
+
+
 def _newton(q0, lattice, regime):
     """Newton run from q0: (last iterate, its max residual, converged, why it
     failed).  The reason is "" unless the run ended on an exception or a
-    non-finite step, which leave the residual at inf."""
+    non-finite step, which leave the residual at inf, or on a root that
+    escaped past ``_escape_radius``."""
     q = np.asarray(q0, dtype=complex).copy()
+    center = sum(lattice.xi) / lattice.length
+    radius = _escape_radius(center, lattice, regime)
     for iteration in range(MAX_NEWTON_ITER + 1):
         # A colliding or singular iterate (DegenerateRootsError,
         # SingularWeightError, LinAlgError, log of zero: all ValueErrors)
@@ -154,6 +178,13 @@ def _newton(q0, lattice, regime):
             res = float(np.max(residuals))
             if res < SOLVE_TOL or iteration == MAX_NEWTON_ITER:
                 return q, res, res < SOLVE_TOL, ""
+            distance = np.abs(q - center)
+            far = int(np.argmax(distance))
+            if distance[far] > radius:
+                return q, res, False, (
+                    f"escaped: |q_{far + 1} - center| = {distance[far]:.3g} "
+                    f"> {radius:.3g} at iteration {iteration}"
+                )
             step = np.linalg.solve(jac, -r)
         except ValueError as exc:
             return q, np.inf, False, f"{type(exc).__name__}: {exc}"
@@ -256,7 +287,9 @@ def solve_bethe_roots(
     Only regular finite-root solutions are searched for.  Sectors whose
     eigenvectors require roots at infinity (e.g. beyond half filling in the
     rational family, where the transfer matrix is spin symmetric) make the
-    solver fail honestly rather than return a spurious set.
+    solver fail honestly rather than return a spurious set; a rational Newton
+    run whose root walks out past ``_escape_radius`` toward such a root fails
+    at once instead of spending MAX_NEWTON_ITER steps.
     """
     L = lattice.length
     if magnons > L:

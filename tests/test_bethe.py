@@ -1,4 +1,5 @@
 import cmath
+import math
 import re
 
 import numpy as np
@@ -377,13 +378,25 @@ def reference_public_residuals(q, lattice, regime):
 
 def reference_newton(q0, lattice, regime):
     """The Newton loop that evaluates the Bethe equations twice per iterate:
-    the residual on Python complex roots, then the two-table system."""
+    the residual on Python complex roots, then the two-table system.  A
+    rational run stops once a root is farther than L·|η| plus the lattice's
+    extent from the mean inhomogeneity."""
     q = np.asarray(q0, dtype=complex).copy()
+    center = sum(lattice.xi) / lattice.length
+    radius = math.inf
+    if regime.family == "rational":
+        radius = lattice.length * abs(regime.eta) + max(abs(x - center) for x in lattice.xi)
     for iteration in range(bethe.MAX_NEWTON_ITER + 1):
         try:
             res = float(np.max(reference_public_residuals(q, lattice, regime)))
             if res < bethe.SOLVE_TOL or iteration == bethe.MAX_NEWTON_ITER:
                 return q, res, res < bethe.SOLVE_TOL, ""
+            far = max(range(len(q)), key=lambda i: abs(q[i] - center))
+            if abs(q[far] - center) > radius:
+                return q, res, False, (
+                    f"escaped: |q_{far + 1} - center| = {abs(q[far] - center):.3g} "
+                    f"> {radius:.3g} at iteration {iteration}"
+                )
             r, jac = reference_newton_system(q, lattice, regime)
             step = np.linalg.solve(jac, -r)
         except ValueError as exc:
@@ -622,6 +635,120 @@ def test_solver_raises_only_when_every_start_stalls(monkeypatch):
     assert str(info.value) == f"homotopy stalled from all {len(starts)} starts for M=1, L=4"
 
 
+# repr((roots.q, roots.residual)) of rational M=4 solves, lattice and solver
+# seed alike.  Each search passes 22 to 37 Newton runs whose roots escape
+# toward infinity; stopping those runs early must not move a bit.
+PINNED_M4_ROOTS = {
+    (8, 0): "(((0.17707193814092453-1.5128717684507997j), (1.3350137002590599-0.3713481873092938j), (-0.007820311611944991+0.7253589935323975j), (0.5353462438807923+1.299246544933308j)), 2.808666774861361e-15)",
+    (8, 1): "(((0.7075989694755961-1.4040203373791467j), (0.549463496259432-0.4836100494558454j), (0.5875817009765073+0.5666459070850925j), (-0.22390174276288616+1.3351105452001568j)), 1.4217791915866692e-15)",
+    (8, 2): "(((1.4044019069164149-0.7911751922717183j), (0.046633638491770345-0.0845455527232789j), (1.2084319066554727+0.7689979160254504j), (0.24754975925057301+0.7342851514301928j)), 5.853358594478813e-13)",
+    (9, 0): "(((1.6336958033795825-1.2601181407375304j), (0.006685801189768394-0.5632691211670031j), (0.3568613992634498+0.2535966704801967j), (-0.7979707403770226+0.493152940771919j)), 1.831026719408895e-14)",
+    (9, 1): "(((-0.5301383612018338+1.1227544431620948j), (0.44627373817414506+0.05593169802463909j), (-0.7085109046557329-0.6005958635694288j), (1.7753471601522628+1.2685756928181666j)), 7.549516567451064e-15)",
+    (9, 2): "(((0.5051687815462168-0.47889710984346523j), (-0.5401022318004084+0.022863950864915276j), (0.000864059559996496+1.18279802764845j), (0.20111738857744751+0.6772184308627323j)), 7.444291678311382e-15)",
+}
+
+
+@pytest.mark.parametrize("L, seed", PINNED_M4_ROOTS, ids=lambda v: str(v))
+def test_rational_m4_roots_are_pinned(L, seed):
+    lattice = make_lattice(L, RATIONAL, seed=seed)
+    roots = bethe.solve_bethe_roots(4, lattice, RATIONAL, seed=seed)
+    assert repr((roots.q, roots.residual)) == PINNED_M4_ROOTS[(L, seed)]
+
+
+# The failure reason of a Newton run stopped by the escape radius.
+ESCAPED = re.compile(r"escaped: \|q_(\d) - center\| = ([\d.]+) > ([\d.]+) at iteration (\d+)")
+
+
+def test_newton_stops_a_root_escaping_to_infinity(monkeypatch):
+    # From the homogeneous start of branches (1, 2, 3, 4) at L=8 a rational
+    # root walks outward one clamped unit per step; without the radius the
+    # run spent all 201 evaluations of MAX_NEWTON_ITER.
+    L = 8
+    calls = []
+    system = bethe._bethe_system
+
+    def counted(*args):
+        calls.append(args[0])
+        return system(*args)
+
+    monkeypatch.setattr(bethe, "_bethe_system", counted)
+    homogeneous = vm.LatticeSpec(L, (0j,) * L)
+    q0 = [bethe._decoupled_seed(k, L, 0j, RATIONAL) for k in (1, 2, 3, 4)]
+    radius = L * abs(RATIONAL.eta)  # the homogeneous lattice has no extent
+    q, res, ok, reason = bethe._newton(q0, homogeneous, RATIONAL)
+    assert not ok and np.isfinite(res)
+    match = ESCAPED.fullmatch(reason)
+    assert match, reason
+    root, distance, shown_radius, iteration = match.groups()
+    assert float(shown_radius) == radius
+    assert abs(q[int(root) - 1]) == max(abs(q)) > radius
+    assert float(distance) == float(f"{max(abs(q)):.3g}")
+    assert len(calls) == int(iteration) + 1 <= math.ceil(radius) + 2
+    # the radius is never passed before the last evaluation
+    assert all(max(abs(np.asarray(p))) <= radius for p in calls[:-1])
+
+
+def test_solver_past_half_filling_names_every_escape():
+    # Rational M=3 on L=4 needs roots at infinity (an SU(2) descendant), so
+    # every start escapes and the error names each one.
+    lattice = make_lattice(4, RATIONAL, seed=3)
+    with pytest.raises(SolverFailureError) as info:
+        bethe.solve_bethe_roots(3, lattice, RATIONAL, seed=3)
+    assert str(info.value) == "no homogeneous starting roots for M=3, L=4"
+    trace = info.value.trace
+    assert len(trace) == 4  # one branch set, four jitter rounds
+    for line in trace:
+        head, _, reason = line.partition(" [")
+        assert re.fullmatch(r"branches \(1, 2, 3\): no convergence \(res [\d.e+-]+\)", head)
+        match = ESCAPED.fullmatch(reason.removesuffix("]"))
+        assert match and float(match[3]) == 4.0 and float(match[2]) > 4.0
+
+
+def test_rational_solves_at_large_eta():
+    # The radius grows with |eta|: a fixed radius stops converging runs here.
+    regime = vm.Regime("rational", 20.0)
+    lattice = make_lattice(6, regime, seed=0)
+    for m in (1, 2, 3):
+        roots = bethe.solve_bethe_roots(m, lattice, regime, seed=0)
+        assert roots.residual < 1e-12
+
+
+def spy_newton_reach(monkeypatch):
+    """Record every Newton run as (converged, distance of its farthest iterate
+    from the mean inhomogeneity, that mean, the run's lattice)."""
+    runs, reach = [], [0.0]
+    system, newton = bethe._bethe_system, bethe._newton
+
+    def measured_system(q, lattice, regime):
+        center = sum(lattice.xi) / lattice.length
+        reach[0] = max(reach[0], float(np.max(np.abs(np.asarray(q) - center))))
+        return system(q, lattice, regime)
+
+    def measured_newton(q0, lattice, regime):
+        reach[0] = 0.0
+        out = newton(q0, lattice, regime)
+        runs.append((out[2], reach[0], sum(lattice.xi) / lattice.length, lattice))
+        return out
+
+    monkeypatch.setattr(bethe, "_bethe_system", measured_system)
+    monkeypatch.setattr(bethe, "_newton", measured_newton)
+    return runs
+
+
+def test_trigonometric_run_may_wander_past_the_rational_radius(monkeypatch):
+    # Trigonometric lattice seed 18, L=6, M=3: a converged run goes farther
+    # from the center than L·|eta| plus the lattice's extent would allow a
+    # rational one, and nothing stops it.
+    runs = spy_newton_reach(monkeypatch)
+    status, _, trace = solve_outcome("trigonometric", 6, 18, 3, monkeypatch)
+    assert status == "solved"
+    assert not any("escaped" in line for line in trace)
+    assert any(
+        ok and distance > lattice.length * abs(TRIG.eta) + max(abs(x - center) for x in lattice.xi)
+        for ok, distance, center, lattice in runs
+    )
+
+
 @pytest.mark.parametrize("L", [4, 5, 6, 7])
 def test_seeded_solver_sweep(L, regime):
     # Lattice and solve share the seed, as in run_verify; no solve may fail.
@@ -640,8 +767,13 @@ NO_LATTICE = {("trigonometric", 9, 10)}
 
 @pytest.mark.slow
 @pytest.mark.parametrize("L", [4, 5, 6, 7, 8, 9])
-def test_wide_seeded_solver_sweep(L, regime):
-    # Lattice seeds 10-29 at every M <= L/2; no solve may fail.
+def test_wide_seeded_solver_sweep(L, regime, monkeypatch):
+    # Lattice seeds 10-29 at every M <= L/2; no solve may fail.  The escape
+    # radius must keep its margin and must not decide any outcome: every
+    # converged rational Newton run stays within half its radius (the widest
+    # went 1.88 of a radius of 5.34 when this gate was set), and every
+    # rational solve repeats bit for bit with the radius lifted.
+    runs = spy_newton_reach(monkeypatch)
     missing = set()
     for seed in range(10, 30):
         try:
@@ -653,4 +785,15 @@ def test_wide_seeded_solver_sweep(L, regime):
             roots = bethe.solve_bethe_roots(m, lattice, regime, seed=seed)
             assert roots.residual < 1e-12
             assert float(np.max(bethe.bae_residuals(roots.q, lattice, regime))) < 1e-12
+            if regime.family == "rational":
+                with monkeypatch.context() as unbounded:
+                    unbounded.setattr(bethe, "_escape_radius", lambda *args: math.inf)
+                    again = bethe.solve_bethe_roots(m, lattice, regime, seed=seed)
+                assert repr((again.q, again.residual)) == repr((roots.q, roots.residual))
     assert missing == {case for case in NO_LATTICE if case[:2] == (regime.family, L)}
+    if regime.family == "rational":
+        assert all(
+            distance <= bethe._escape_radius(center, leg, regime) / 2
+            for ok, distance, center, leg in runs
+            if ok
+        )

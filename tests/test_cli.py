@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +525,28 @@ def test_cli_dwbc_runs(capsys):
     sym = abs(dwbc.dwbc_sum(shuffled) - total) / abs(total)
     assert f"relative diff   : {rel:.3e}\n" in captured
     assert f"row-permutation symmetry defect (measured): {sym:.3e}\n" in captured
+
+
+def test_cli_dwbc_into_a_closed_pipe_exits_1_without_traceback():
+    # `sixvertex dwbc --m 9 | head -1`: the reader leaves after the first
+    # line, and the symmetry line, printed one M=9 sum later, meets a closed
+    # pipe.  It used to end in a BrokenPipeError traceback.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "sixvertex", "dwbc", "--m", "9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    status = proc.wait(timeout=120)
+    proc.stderr.close()
+    assert first == b"M=9 rational partition function\n"
+    assert "Traceback" not in err, err
+    assert status == 1
 
 
 @pytest.mark.parametrize("spread", ["-1.5", "0", "nan", "inf"])
