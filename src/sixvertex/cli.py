@@ -13,22 +13,19 @@ import numpy as np
 
 from . import dwbc as dwbc_mod
 from .config import RunConfig, load_config
-from .errors import ConfigError, ProvenanceError, SizeCapError
+from .errors import (ConfigError, DegenerateParametersError, ProvenanceError, SizeCapError,
+                     SolverFailureError)
 from .verify import run_solve, run_verify, run_wavefunction, write_report
 
 
 def _add_common(parser):
     parser.add_argument("--config", type=Path, help="path to a run configuration file")
-    parser.add_argument("--tolerance", type=float, help="override every check tolerance")
     parser.add_argument("--seed", type=int, help="override the configured seed")
-    parser.add_argument("--output-dir", type=Path, help="override the output directory")
 
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    return cfg.with_overrides(
-        tolerance=args.tolerance, seed=args.seed, output_dir=args.output_dir
-    )
+    return cfg.with_overrides(seed=args.seed, output_dir=getattr(args, "output_dir", None))
 
 
 def _cmd_verify(args) -> int:
@@ -117,17 +114,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_dwbc.add_argument("--m", type=int, help="number of rows/columns (default: config M)")
     p_dwbc.set_defaults(func=_cmd_dwbc)
 
+    # dwbc prints and writes no file, so only the other three take --output-dir
+    for p in (p_verify, p_solve, p_wf):
+        p.add_argument("--output-dir", type=Path, help="override the output directory")
+
     return parser
 
 
 def main(argv=None) -> int:
+    """Exit 0 on success, 1 on a failed verify check or a closed pipe, 2 on a typed error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()
         return status
-    except (ConfigError, ProvenanceError, SizeCapError, FileNotFoundError) as exc:
+    except (ConfigError, ProvenanceError, SizeCapError, DegenerateParametersError,
+            SolverFailureError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -20,7 +20,6 @@ _KEYS = {
     "xi": ("xi", lambda v: None if v == "random" else parse_complex_list(v)),
     "xi_spread": ("xi_spread", float),
     "seed": ("seed", int),
-    "tolerance": ("tolerance", float),
     "output_dir": ("output_dir", Path),
 }
 
@@ -36,7 +35,6 @@ class RunConfig:
     xi: tuple[complex, ...] | None = None  # None: sampled from seed + spread
     xi_spread: float | None = None  # None: per-family default
     seed: int = 7
-    tolerance: float | None = None  # None: per-check defaults
     output_dir: Path = Path("out")
 
     def __post_init__(self):
@@ -55,8 +53,6 @@ class RunConfig:
             raise ConfigError(f"M={self.magnons} exceeds the permutation-sum cap {PERMUTATION_CAP}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.tolerance is not None and not 0 < self.tolerance < np.inf:
-            raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not np.isfinite(self.eta):
             raise ConfigError(f"eta must be finite, got {self.eta}")
         if self.xi_spread is not None and not 0 < self.xi_spread < np.inf:
@@ -84,10 +80,8 @@ class RunConfig:
             return LatticeSpec(self.length, self.xi)
         return random_lattice(self.length, self.regime(), rng, spread=self.xi_spread)
 
-    def with_overrides(self, tolerance=None, seed=None, output_dir=None) -> "RunConfig":
+    def with_overrides(self, seed=None, output_dir=None) -> "RunConfig":
         cfg = self
-        if tolerance is not None:
-            cfg = replace(cfg, tolerance=tolerance)
         if seed is not None:
             cfg = replace(cfg, seed=seed)
         if output_dir is not None:
@@ -118,5 +112,4 @@ def config_as_dict(config: RunConfig, lattice: LatticeSpec | None = None) -> dic
         "xi": [repr(x) for x in (lattice.xi if lattice else (config.xi or ()))],
         "xi_spread": config.xi_spread,
         "seed": config.seed,
-        "tolerance": config.tolerance,
     }

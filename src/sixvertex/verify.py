@@ -270,7 +270,7 @@ def _check_dwbc(ctx):
     return worst, {"sizes": list(sizes), "draws_per_size": draws}
 
 
-# (name, runner, default tolerance); order follows the verification story:
+# (name, runner, tolerance); order follows the verification story:
 # structural S-matrix identities, factorizing-operator identities, solved
 # roots and their eigenstate, wave-function identities, partition function.
 CHECKS = (
@@ -303,8 +303,7 @@ def run_verify(config: RunConfig) -> CheckReport:
     regime, rng, lattice = _resolve(config)
     ctx = {"config": config, "regime": regime, "lattice": lattice, "rng": rng}
     report = CheckReport(config=config_as_dict(config, lattice))
-    for name, runner, default_tol in CHECKS:
-        tol = config.tolerance if config.tolerance is not None else default_tol
+    for name, runner, tol in CHECKS:
         start = time.perf_counter()
         try:
             residual, params = runner(ctx)

@@ -252,18 +252,11 @@ def test_criterion_10_cli_determinism_and_exit_codes(tmp_path):
     doc = json.loads((out_a / "report.json").read_text())
     exit_ok = code_a == 0 and code_b == 0 and doc["passed"]
 
-    code_fail = main(
-        [
-            "verify",
-            "--config",
-            str(cfg_path),
-            "--output-dir",
-            str(tmp_path / "c"),
-            "--tolerance",
-            "1e-30",
-        ]
-    )
-    exit_ok = exit_ok and code_fail != 0
+    # coincident inhomogeneities fail three F-basis checks by design
+    fail_path = tmp_path / "coincident.cfg"
+    fail_path.write_text("L: 3\nM: 1\nxi: 0, 0, 0\n")
+    code_fail = main(["verify", "--config", str(fail_path), "--output-dir", str(tmp_path / "c")])
+    exit_ok = exit_ok and code_fail == 1
     ok = identical and exit_ok
     report(
         10,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sixvertex import bethe, config, dwbc
+from sixvertex import bethe, config, dwbc, verify
 from sixvertex.cli import main
 from sixvertex.config import RunConfig, load_config, parse_config_text
 from sixvertex.errors import ConfigError
@@ -43,7 +43,6 @@ def small_config(tmp_path):
 def test_parse_defaults():
     cfg = parse_config_text("")
     assert cfg.family == "rational" and cfg.length == 6 and cfg.magnons == 2
-    assert cfg.tolerance is None
 
 
 def test_parse_explicit_xi():
@@ -132,6 +131,8 @@ MALFORMED_CONFIGS = [
     ("L: 4\ngarbage line\n", "line 2: expected 'key: value', got 'garbage line'"),
     ("# header\nfrobnicate: 3\n", "line 2: unknown key 'frobnicate'"),
     ("seed: 3\nL: 4\nseed: 5  # again\n", "line 3: repeated key 'seed'"),
+    # every check's tolerance is its row in verify.CHECKS; no key replaces them
+    ("tolerance: 1e-9\n", "line 1: unknown key 'tolerance'"),
 ]
 
 
@@ -161,7 +162,6 @@ KEY_CASES = [
     ("xi: 0.5, (0.1-0.2j), -1, 2, 0j, 3", "xi", (0.5, 0.1 - 0.2j, -1, 2, 0, 3)),
     ("xi_spread: 0.25", "xi_spread", 0.25),
     ("seed: 11", "seed", 11),
-    ("tolerance: 1e-9", "tolerance", 1e-9),
     ("M: 0", "magnons", 0),
     ("output_dir: runs/a", "output_dir", Path("runs/a")),
 ]
@@ -189,7 +189,6 @@ def test_parse_key_cases_cover_every_key():
         "xi: 0.1, zz, 0, 0, 0, 0",
         "xi_spread: wide",
         "seed: 7.5",
-        "tolerance: small",
         "L: 20\nM: 10",
         "regime: trigonometric\nL: 11\nM: 10",
     ],
@@ -199,17 +198,9 @@ def test_parse_rejects_bad_value(line):
         parse_config_text(line + "\n").regime()
 
 
-def test_parse_rejects_bad_tolerance():
-    with pytest.raises(ConfigError):
-        parse_config_text("tolerance: -1\n")
-
-
-# Non-finite values the parser reads as numbers: nan failed every check,
-# inf passed every finite residual, eta nan spent every lattice draw and a
-# nan site passed two checks with residual 0.
+# Non-finite values the parser reads as numbers: eta nan spent every lattice
+# draw and a nan site passed two checks with residual 0.
 NON_FINITE_CONFIGS = [
-    ("tolerance: nan\n", "tolerance must be finite and positive"),
-    ("tolerance: inf\n", "tolerance must be finite and positive"),
     ("eta: nan\n", "eta must be finite"),
     ("eta: inf\n", "eta must be finite"),
     ("eta: 1+nanj\n", "eta must be finite"),
@@ -234,13 +225,57 @@ def test_cli_verify_rejects_non_finite_values(tmp_path, capsys, text, message):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_cli_rejects_non_finite_tolerance_override(tmp_path, capsys, small_config, value):
+# Options a subcommand does not read end in argparse's exit 2: no flag
+# replaces the per-check tolerances of verify.CHECKS, and dwbc writes no file.
+UNREAD_OPTIONS = [
+    ("verify", "--tolerance", "1e-9"),
+    ("solve", "--tolerance", "1e-9"),
+    ("wavefunction", "--tolerance", "1e-9"),
+    ("dwbc", "--tolerance", "1e-9"),
+    ("dwbc", "--output-dir", "x"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", UNREAD_OPTIONS)
+def test_cli_rejects_options_a_subcommand_does_not_read(
+    tmp_path, capsys, small_config, command, option, value
+):
+    argv = [command, "--config", str(small_config), option, value]
+    if command == "wavefunction":
+        argv += ["--roots", str(tmp_path / "roots.txt")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
+# Typed failures of a run: the sampler finds no generic lattice (README: no
+# L = 12 draw at seeds 0-9), or every homotopy stalls (lattice seed 51).
+TYPED_FAILURES = [
+    ("verify", "L: 12\nM: 3\n", "could not sample a generic lattice after 2000 tries"),
+    ("solve", "L: 6\nM: 3\nseed: 51\n", "homotopy stalled from all 7 starts for M=3, L=6"),
+    (
+        "solve",
+        "regime: trigonometric\neta: 0.7\nL: 9\nM: 3\nseed: 10\n",
+        "could not sample a generic lattice after 2000 tries",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, text, message", TYPED_FAILURES)
+def test_cli_typed_run_failure_exits_2_and_writes_nothing(tmp_path, capsys, command, text, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
     out_dir = tmp_path / "out"
-    argv = ["verify", "--config", str(small_config), "--output-dir", str(out_dir)]
-    assert main(argv + ["--tolerance", value]) == 2
-    assert "tolerance must be finite and positive" in capsys.readouterr().err
+    assert main([command, "--config", str(path), "--output-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+def test_report_config_echoes_every_key_but_output_dir(small_config):
+    report = run_verify(load_config(small_config))
+    # the config keys but output_dir, which the report never echoed
+    assert set(report.config) == {"regime", "eta", "L", "M", "xi", "xi_spread", "seed"}
 
 
 def test_load_missing_config():
@@ -262,9 +297,10 @@ def test_verify_small_config_passes_and_is_deterministic(tmp_path, small_config)
     assert raw_a == raw_b
 
 
-def test_verify_unreachable_tolerance_fails(small_config):
-    cfg = load_config(small_config).with_overrides(tolerance=1e-30)
-    report = run_verify(cfg)
+def test_verify_unreachable_tolerance_fails(small_config, monkeypatch):
+    unreachable = tuple((name, runner, 1e-30) for name, runner, _ in verify.CHECKS)
+    monkeypatch.setattr(verify, "CHECKS", unreachable)
+    report = run_verify(load_config(small_config))
     assert not report.passed
     # every check whose residual is not an exact float zero must fail
     assert all(r.passed == (r.residual == 0.0) for r in report.results)
@@ -276,18 +312,15 @@ def test_cli_verify_exit_codes(tmp_path, small_config):
     assert main(["verify", "--config", str(small_config), "--output-dir", str(out)]) == 0
     assert (out / "report.json").exists() and (out / "report.txt").exists()
     assert not (out / "report.json.tmp").exists()
-    code = main(
-        [
-            "verify",
-            "--config",
-            str(small_config),
-            "--output-dir",
-            str(out),
-            "--tolerance",
-            "1e-30",
-        ]
-    )
-    assert code == 1
+    # coincident inhomogeneities fail f_closed_forms, creation_commutation and
+    # creation_exchange by design (configs/closed_case.cfg)
+    coincident = tmp_path / "coincident.cfg"
+    coincident.write_text("L: 3\nM: 1\nxi: 0, 0, 0\n")
+    fail_out = tmp_path / "fail"
+    assert main(["verify", "--config", str(coincident), "--output-dir", str(fail_out)]) == 1
+    doc = json.loads((fail_out / "report.json").read_text())
+    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+    assert failed == ["f_closed_forms", "creation_commutation", "creation_exchange"]
 
 
 def test_cli_reports_byte_identical_across_runs(tmp_path, small_config):
