@@ -10,6 +10,7 @@ measured, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -80,6 +81,21 @@ def perm_amplitude(perm, q, regime: Regime) -> complex:
     return out
 
 
+@lru_cache(maxsize=1)
+def _formula_factors(q: tuple, lattice: LatticeSpec, regime: Regime):
+    """(ordering, amplitude) pairs in itertools order, and the L x M table
+    of phi_site values, for one root set: a wave table's C(L, M) calls to
+    ``psi_formula`` share them, so each is computed once per root set."""
+    orderings = tuple(
+        (perm, perm_amplitude(perm, q, regime)) for perm in capped_permutations(len(q))
+    )
+    sites = tuple(
+        tuple(phi_site(x, qv, lattice, regime) for qv in q)
+        for x in range(1, lattice.length + 1)
+    )
+    return orderings, sites
+
+
 def psi_formula(x, q, lattice: LatticeSpec, regime: Regime) -> complex:
     """Wave-function amplitude as the sum over permutations of the roots."""
     x = validate_configuration(x, lattice.length)
@@ -87,12 +103,11 @@ def psi_formula(x, q, lattice: LatticeSpec, regime: Regime) -> complex:
     if len(x) != len(q):
         raise ValueError(f"{len(x)} coordinates vs {len(q)} roots")
     m = len(q)
-    perms = capped_permutations(m)
-    # cache the M x M table of single-particle factors
-    table = [[phi_site(xv, qv, lattice, regime) for qv in q] for xv in x]
+    orderings, sites = _formula_factors(q, lattice, regime)
+    table = [sites[xv - 1] for xv in x]
     total = 0.0 + 0.0j
-    for perm in perms:
-        term = perm_amplitude(perm, q, regime)
+    for perm, amplitude in orderings:
+        term = amplitude
         for slot in range(m):
             term *= table[slot][perm[slot]]
         total += term

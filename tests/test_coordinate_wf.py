@@ -1,4 +1,5 @@
 import re
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -116,8 +117,6 @@ def test_permutation_sum_partition_sanity(regime):
     rng = np.random.default_rng(9)
     q = tuple(vm.random_spectral_point(lattice, regime, rng) for _ in range(3))
     x = (1, 3, 4)
-    from itertools import permutations
-
     table = [[cw.phi_site(xv, qv, lattice, regime) for qv in q] for xv in x]
     total_by_blocks = 0.0 + 0.0j
     for first in range(3):
@@ -130,6 +129,40 @@ def test_permutation_sum_partition_sanity(regime):
             total_by_blocks += term
     direct = cw.psi_formula(x, q, lattice, regime)
     assert abs(total_by_blocks - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+def psi_loop(x, q, lattice, regime):
+    """psi_formula's sum with every factor computed afresh, in its order."""
+    table = [[cw.phi_site(xv, qv, lattice, regime) for qv in q] for xv in x]
+    total = 0.0 + 0.0j
+    for perm in permutations(range(len(q))):
+        term = cw.perm_amplitude(perm, q, regime)
+        for slot in range(len(q)):
+            term *= table[slot][perm[slot]]
+        total += term
+    return total
+
+
+def test_formula_wave_table_is_bit_equal_to_the_loop(regime):
+    lattice = make_lattice(6, regime, seed=8)
+    rng = np.random.default_rng(9)
+    q = tuple(vm.random_spectral_point(lattice, regime, rng) for _ in range(3))
+    table = cw.wave_table(q, lattice, regime, "formula")
+    assert table.entries == {x: psi_loop(x, q, lattice, regime) for x in cw.configurations(6, 3)}
+
+
+def test_formula_factors_follow_every_argument():
+    # Alternate the roots, the lattice and the family: the shared factors
+    # of one root set must never serve another call.
+    a, b = (make_lattice(5, RATIONAL, seed=s) for s in (8, 9))
+    rng = np.random.default_rng(9)
+    q1 = tuple(vm.random_spectral_point(a, RATIONAL, rng) for _ in range(2))
+    q2 = tuple(vm.random_spectral_point(a, RATIONAL, rng) for _ in range(2))
+    calls = [(q1, a, RATIONAL), (q2, a, RATIONAL), (q1, a, RATIONAL), (q1, b, RATIONAL),
+             (q1, a, RATIONAL), (q1, a, TRIG), (q1, b, TRIG), (q1, a, RATIONAL)]
+    for q, lattice, regime in calls:
+        for x in ((1, 3), (2, 5)):
+            assert cw.psi_formula(x, q, lattice, regime) == psi_loop(x, q, lattice, regime)
 
 
 def test_periodicity_single_root_reduces_to_bae():
@@ -166,9 +199,13 @@ TEN_ROOTS = tuple(0.1 * k + 0.05j for k in range(10))
 ELEVEN_SITES = vm.LatticeSpec(11, tuple(0.1j * k for k in range(11)))
 
 
-def test_formula_size_cap(regime):
+def test_formula_size_cap(regime, monkeypatch):
+    calls = []
+    for weight in ("b_weight", "c_weight", "c_weight_inv"):
+        monkeypatch.setattr(cw, weight, lambda *args: calls.append(args))
     with pytest.raises(SizeCapError, match=re.escape("sum over 10! terms exceeds cap 9!")):
         cw.psi_formula(tuple(range(1, 11)), TEN_ROOTS, ELEVEN_SITES, regime)
+    assert calls == []
 
 
 def test_periodicity_size_cap_raises_before_any_weight(regime, monkeypatch):
