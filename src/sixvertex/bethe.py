@@ -348,19 +348,15 @@ def eigenstate_residual(
     return worst
 
 
-def _format_complex(z: complex) -> str:
-    return repr(complex(z))
-
-
 def roots_to_text(roots: BetheRoots) -> str:
     lines = [
         "# Bethe root set",
         f"regime: {roots.family}",
-        f"eta: {_format_complex(roots.eta)}",
+        f"eta: {roots.eta!r}",
         f"L: {roots.length}",
         f"M: {roots.magnons}",
-        "xi: " + ", ".join(_format_complex(x) for x in roots.xi),
-        "q: " + ", ".join(_format_complex(v) for v in roots.q),
+        "xi: " + ", ".join(map(repr, roots.xi)),
+        "q: " + ", ".join(map(repr, roots.q)),
         f"residual: {roots.residual!r}",
     ]
     return "\n".join(lines) + "\n"

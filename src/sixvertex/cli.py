@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ def _add_common(parser):
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    return cfg.with_overrides(seed=args.seed, output_dir=getattr(args, "output_dir", None))
+    overrides = {"seed": args.seed, "output_dir": getattr(args, "output_dir", None)}
+    return replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _cmd_verify(args) -> int:

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .textio import parse_complex_list, parse_key_values
-from .vertex_model import FAMILIES, PERMUTATION_CAP, LatticeSpec, Regime, random_lattice
+from .vertex_model import PERMUTATION_CAP, LatticeSpec, Regime, random_lattice
 
 # File key -> (RunConfig field, value parser); "xi: random" means sampled.
 _KEYS = {
@@ -38,8 +38,6 @@ class RunConfig:
     output_dir: Path = Path("out")
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"regime must be one of {FAMILIES}, got {self.family!r}")
         if self.length < 1:
             raise ConfigError("L must be at least 1")
         # The solver seeds M roots on distinct branches 1 .. L-1, so M = L has none.
@@ -53,40 +51,31 @@ class RunConfig:
             raise ConfigError(f"M={self.magnons} exceeds the permutation-sum cap {PERMUTATION_CAP}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not np.isfinite(self.eta):
-            raise ConfigError(f"eta must be finite, got {self.eta}")
         if self.xi_spread is not None and not 0 < self.xi_spread < np.inf:
             raise ConfigError(f"xi_spread must be finite and positive, got {self.xi_spread}")
-        if self.xi is not None and len(self.xi) != self.length:
-            raise ConfigError(
-                f"explicit xi list has {len(self.xi)} entries for L={self.length}"
-            )
         if self.xi is not None and not np.all(np.isfinite(self.xi)):
             raise ConfigError(f"explicit xi list must be finite, got {self.xi}")
-        object.__setattr__(self, "eta", complex(self.eta))
-        if self.xi is not None:
-            object.__setattr__(self, "xi", tuple(complex(x) for x in self.xi))
-        object.__setattr__(self, "output_dir", Path(self.output_dir))
-
-    def regime(self) -> Regime:
+        # Regime checks family, finite eta and phi(eta) != 0; LatticeSpec the xi count.
         try:
-            return Regime(self.family, self.eta)
+            regime = Regime(self.family, self.eta)
+            lattice = None if self.xi is None else LatticeSpec(self.length, self.xi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "eta", regime.eta)
+        object.__setattr__(self, "xi", None if lattice is None else lattice.xi)
+        object.__setattr__(self, "output_dir", Path(self.output_dir))
+        # built once, outside the fields: ==, hash and repr do not see them
+        object.__setattr__(self, "_regime", regime)
+        object.__setattr__(self, "_lattice", lattice)
+
+    def regime(self) -> Regime:
+        return self._regime
 
     def resolve_lattice(self, rng: np.random.Generator) -> LatticeSpec:
         """Explicit lattice, or one sampled deterministically from the rng."""
-        if self.xi is not None:
-            return LatticeSpec(self.length, self.xi)
-        return random_lattice(self.length, self.regime(), rng, spread=self.xi_spread)
-
-    def with_overrides(self, seed=None, output_dir=None) -> "RunConfig":
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if output_dir is not None:
-            cfg = replace(cfg, output_dir=Path(output_dir))
-        return cfg
+        if self._lattice is not None:
+            return self._lattice
+        return random_lattice(self.length, self._regime, rng, spread=self.xi_spread)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -102,14 +91,14 @@ def load_config(path) -> RunConfig:
     return parse_config_text(path.read_text())
 
 
-def config_as_dict(config: RunConfig, lattice: LatticeSpec | None = None) -> dict:
-    """Deterministic JSON-friendly echo, with the resolved lattice if given."""
+def config_as_dict(config: RunConfig, lattice: LatticeSpec) -> dict:
+    """Deterministic JSON-friendly echo, with the resolved lattice."""
     return {
         "regime": config.family,
         "eta": repr(config.eta),
         "L": config.length,
         "M": config.magnons,
-        "xi": [repr(x) for x in (lattice.xi if lattice else (config.xi or ()))],
+        "xi": [repr(x) for x in lattice.xi],
         "xi_spread": config.xi_spread,
         "seed": config.seed,
     }

@@ -292,10 +292,9 @@ CHECKS = (
 
 
 def _resolve(config: RunConfig):
-    """Regime, seeded generator and lattice of a run, drawn in that order."""
-    regime = config.regime()
+    """Regime, seeded generator and lattice of a run."""
     rng = np.random.default_rng(config.seed)
-    return regime, rng, config.resolve_lattice(rng)
+    return config.regime(), rng, config.resolve_lattice(rng)
 
 
 def run_verify(config: RunConfig) -> CheckReport:

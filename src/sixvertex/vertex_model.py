@@ -9,6 +9,7 @@ blocks are the creation/annihilation operator family acting on the chain.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -27,7 +28,21 @@ GENERICITY_FLOOR = 1e-6
 # partition function) run; larger M needs an O(M^3) determinant route.
 PERMUTATION_CAP = 9
 
-FAMILIES = ("rational", "trigonometric")
+
+def _identity(t: complex) -> complex:
+    return t
+
+
+def _one(t: complex) -> complex:
+    return 1.0 + 0.0j
+
+
+# Each weight family once, with its phi and phi'.
+_WEIGHT_FAMILIES = {
+    "rational": (_identity, _one),
+    "trigonometric": (cmath.sin, cmath.cos),
+}
+FAMILIES = tuple(_WEIGHT_FAMILIES)
 
 # Sampling profiles, sized so the inhomogeneity separations are comparable
 # to eta: every closed-form weight ratio then stays O(1) and the factorizing
@@ -52,29 +67,26 @@ def capped_permutations(m: int):
 
 @dataclass(frozen=True)
 class Regime:
-    """Weight family plus anisotropy; phi(eta) must not vanish."""
+    """Weight family plus anisotropy; phi, phi' and a nonzero phi(eta) are fixed when made."""
 
     family: str
     eta: complex
+    phi: Callable[[complex], complex] = field(init=False, repr=False, compare=False)
+    phi_prime: Callable[[complex], complex] = field(init=False, repr=False, compare=False)
+    phi_eta: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if self.family not in _WEIGHT_FAMILIES:
+            raise ValueError(f"regime must be one of {FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "eta", complex(self.eta))
         if not cmath.isfinite(self.eta):
             raise ValueError(f"eta must be finite, got {self.eta}")
-        if abs(self.phi(self.eta)) < POLE_TOL:
+        phi, phi_prime = _WEIGHT_FAMILIES[self.family]
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi_prime", phi_prime)
+        object.__setattr__(self, "phi_eta", phi(self.eta))
+        if abs(self.phi_eta) < POLE_TOL:
             raise ValueError(f"phi(eta) vanishes for eta={self.eta}")
-
-    def phi(self, t: complex) -> complex:
-        if self.family == "rational":
-            return t
-        return cmath.sin(t)
-
-    def phi_prime(self, t: complex) -> complex:
-        if self.family == "rational":
-            return 1.0 + 0.0j
-        return cmath.cos(t)
 
 
 @dataclass(frozen=True)
@@ -148,7 +160,7 @@ def b_weight(t: complex, regime: Regime) -> complex:
     den = regime.phi(t + regime.eta)
     if abs(den) < POLE_TOL:
         raise SingularWeightError(f"phi(t + eta) = 0 at t={t}")
-    return regime.phi(regime.eta) / den
+    return regime.phi_eta / den
 
 
 def c_weight_inv(t: complex, regime: Regime) -> complex:

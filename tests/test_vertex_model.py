@@ -1,6 +1,8 @@
 import ast
+import cmath
 import itertools
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -104,6 +106,38 @@ def test_regime_rejects_vanishing_phi_eta():
 def test_regime_rejects_non_finite_eta(family, eta):
     with pytest.raises(ValueError, match="eta must be finite"):
         vm.Regime(family, eta)
+
+
+@pytest.mark.parametrize("family, eta", [("rational", 1.0 - 0.2j), ("trigonometric", 0.7)])
+def test_regime_survives_pickle(family, eta):
+    regime = vm.Regime(family, eta)
+    again = pickle.loads(pickle.dumps(regime))
+    assert again == regime and hash(again) == hash(regime) and repr(again) == repr(regime)
+    assert (again.phi, again.phi_prime) == (regime.phi, regime.phi_prime)
+    assert repr(again.phi_eta) == repr(regime.phi_eta)
+
+
+def _reference_phi(family, t):
+    return t if family == "rational" else cmath.sin(t)
+
+
+def _reference_phi_prime(family, t):
+    return 1.0 + 0.0j if family == "rational" else cmath.cos(t)
+
+
+@pytest.mark.parametrize("family, eta", [("rational", 1.0 - 0.2j), ("trigonometric", 0.7)])
+def test_regime_weights_match_reference_formulas_bit_for_bit(family, eta):
+    regime = vm.Regime(family, eta)
+    assert repr(regime.phi_eta) == repr(_reference_phi(family, complex(eta)))
+    rng = np.random.default_rng(3)
+    points = [complex(a, b) for a, b in rng.uniform(-2, 2, (20, 2))] + [0j, complex(-0.0, 0.5)]
+    for t in points:
+        for arg in (t, np.complex128(t)):
+            assert repr(regime.phi(arg)) == repr(_reference_phi(family, arg))
+            assert type(regime.phi(arg)) is type(_reference_phi(family, arg))
+            assert repr(regime.phi_prime(arg)) == repr(_reference_phi_prime(family, arg))
+            b = _reference_phi(family, regime.eta) / _reference_phi(family, arg + regime.eta)
+            assert repr(vm.b_weight(arg, regime)) == repr(b)
 
 
 def test_site_runs_group_bit_identical_neighbours_only():
