@@ -66,13 +66,17 @@ def site_operator(kind: str, site: int, n_sites: int) -> np.ndarray:
     return out
 
 
-def _two_site_gate(gate, site_i: int, site_j: int, n_sites: int) -> np.ndarray:
-    # Shared argument checks of the two-site routes; returns the complex gate.
+def _check_sites(site_i: int, site_j: int, n_sites: int) -> None:
     if site_i == site_j:
         raise ValueError("two-site gate needs two distinct sites")
     for s in (site_i, site_j):
         if not 1 <= s <= n_sites:
             raise ValueError(f"site {s} out of range 1..{n_sites}")
+
+
+def _two_site_gate(gate, site_i: int, site_j: int, n_sites: int) -> np.ndarray:
+    # Shared argument checks of the two-site routes; returns the complex gate.
+    _check_sites(site_i, site_j, n_sites)
     g = np.asarray(gate, dtype=complex)
     if g.shape != (4, 4):
         raise ValueError(f"gate must be 4x4, got {g.shape}")
@@ -83,10 +87,15 @@ def embed_two_site(gate, site_i: int, site_j: int, n_sites: int) -> np.ndarray:
     """Embed a 4x4 gate acting on (site_i, site_j), identity elsewhere.
 
     The gate is indexed in the order (|00>, |01>, |10>, |11>) with the first
-    slot belonging to ``site_i``.  The dense embedding is the reference that
-    ``apply_two_site_left`` reproduces without building it.
+    slot belonging to ``site_i``.  A stack of gates, shape (..., 4, 4),
+    embeds to the stack of their embeddings, shape (..., dim, dim).  The
+    dense embedding is the reference that ``apply_two_site_left``
+    reproduces without building it.
     """
-    g = _two_site_gate(gate, site_i, site_j, n_sites)
+    _check_sites(site_i, site_j, n_sites)
+    g = np.asarray(gate, dtype=complex)
+    if g.shape[-2:] != (4, 4):
+        raise ValueError(f"gate must be 4x4, got {g.shape}")
     dim = 1 << n_sites
     pi = _bit_position(site_i, n_sites)
     pj = _bit_position(site_j, n_sites)
@@ -95,10 +104,10 @@ def embed_two_site(gate, site_i: int, site_j: int, n_sites: int) -> np.ndarray:
     bj = (cols >> pj) & 1
     base = cols & ~((1 << pi) | (1 << pj))
     col_sub = (bi << 1) | bj
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros(g.shape[:-2] + (dim, dim), dtype=complex)
     for a in range(4):
         rows = base | ((a >> 1) << pi) | ((a & 1) << pj)
-        out[rows, cols] = g[a, col_sub]
+        out[..., rows, cols] = g[..., a, col_sub]
     return out
 
 

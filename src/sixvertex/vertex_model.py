@@ -185,6 +185,10 @@ def c_and_log_derivative(t: complex, regime: Regime) -> tuple[complex, complex]:
     return num / den, regime.phi_prime(t) / num - regime.phi_prime(shifted) / den
 
 
+# The S-matrix's corner weights; s_matrix fills the middle block of a copy.
+_EYE4 = np.eye(4, dtype=complex)
+
+
 def s_matrix(t1: complex, t2: complex, regime: Regime) -> np.ndarray:
     """4x4 S-matrix with spectral argument t1 - t2, corner weights 1.
 
@@ -194,15 +198,10 @@ def s_matrix(t1: complex, t2: complex, regime: Regime) -> np.ndarray:
     t = t1 - t2
     c = c_weight(t, regime)
     b = b_weight(t, regime)
-    return np.array(
-        [
-            [1, 0, 0, 0],
-            [0, c, b, 0],
-            [0, b, c, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
+    out = _EYE4.copy()
+    out[1, 1] = out[2, 2] = c
+    out[1, 2] = out[2, 1] = b
+    return out
 
 
 def monodromy_matrix(t: complex, lattice: LatticeSpec, regime: Regime, block) -> np.ndarray:

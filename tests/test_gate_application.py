@@ -148,6 +148,9 @@ def test_apply_two_site_rejects_bad_arguments():
         tc.apply_two_site_left(block, np.eye(2), 1, 2, 3)
     with pytest.raises(ValueError):
         tc.apply_two_site_left(identity_operator(2), np.eye(4), 1, 2, 3)
+    # only the dense embedding takes a stack of gates
+    with pytest.raises(ValueError, match="gate must be 4x4"):
+        tc.apply_two_site_left(block, np.stack([np.eye(4)] * 2), 1, 2, 3)
 
 
 def test_hot_path_builds_no_dense_embedding(monkeypatch, regime):

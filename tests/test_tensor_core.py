@@ -153,6 +153,23 @@ def test_disjoint_embeddings_commute(data):
     assert tc.max_abs_diff(a @ b, b @ a) < 1e-14 * max(1.0, tc.max_abs_diff(a @ b, 0))
 
 
+def test_embed_stack_matches_per_gate_embeddings():
+    rng = np.random.default_rng(6)
+    for L in (3, 4):
+        for i in range(1, L + 1):
+            for j in range(1, L + 1):
+                if i != j:
+                    gates = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+                    want = np.stack([tc.embed_two_site(g, i, j, L) for g in gates])
+                    assert np.array_equal(tc.embed_two_site(gates, i, j, L), want)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)])
+def test_embed_rejects_non_square_gates(shape):
+    with pytest.raises(ValueError, match="gate must be 4x4"):
+        tc.embed_two_site(np.zeros(shape), 1, 2, 3)
+
+
 def test_embed_rejects_coinciding_sites():
     with pytest.raises(ValueError):
         tc.embed_two_site(np.eye(4), 2, 2, 3)
